@@ -82,8 +82,6 @@ std::unique_ptr<IncrementalSession> make_incremental_session(const StimulusFacto
   cfg.lanes = opt.sim_lanes;
   cfg.warmup_cycles = opt.warmup_cycles;
   cfg.sim_cycles = opt.sim_cycles;
-  cfg.tape_budget_bytes = opt.incremental_tape_budget_bytes;
-  cfg.verify_stimulus = opt.incremental_verify_stimulus;
   if (opt.confidence.enabled) cfg.batch_frames = opt.confidence.batch_frames;
   return std::make_unique<IncrementalSession>(stimuli, opt.lane_stimuli, cfg);
 }

@@ -76,19 +76,15 @@ struct IsolationOptions {
   SimEngineKind sim_engine = SimEngineKind::Scalar;
   unsigned sim_lanes = 64;
   /// Re-simulate incrementally between iterations: the first
-  /// measurement round records a frame tape, later rounds re-evaluate
-  /// only the dirty cone of the banks committed since (sim/incremental
-  /// .hpp) and splice the carried-forward statistics — bit-identical to
-  /// full re-simulation, typically several times faster per iteration.
+  /// measurement round records a frame tape, later rounds replay it
+  /// through the same engine over only the dirty cone of the banks
+  /// committed since (sim/incremental.hpp) and splice the
+  /// carried-forward statistics — bit-identical to full re-simulation.
   /// Requires the stimulus factories to be round-invariant (same value
-  /// sequence per call), which every seeded factory satisfies.
+  /// sequence per call), which every seeded factory satisfies. A design
+  /// whose tape would exceed IncrementalConfig's 256 MiB budget
+  /// re-simulates in full every round.
   bool incremental = true;
-  /// Frame-tape memory ceiling; runs whose tape would exceed it fall
-  /// back to full re-simulation each round.
-  std::size_t incremental_tape_budget_bytes = std::size_t{256} << 20;
-  /// Spot-check the round-invariance contract during scalar replays by
-  /// re-drawing the stimulus and comparing primary inputs to the tape.
-  bool incremental_verify_stimulus = false;
   /// Per-lane stimulus streams for the parallel engine (lane index →
   /// fresh generator; seeds should differ per lane). Required when
   /// sim_engine == Parallel.

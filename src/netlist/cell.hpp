@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <string_view>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

@@ -336,4 +336,22 @@ std::vector<CellId> dirty_cone(const Netlist& nl, const std::vector<CellId>& see
   return cone;
 }
 
+std::vector<CellId> cone_order(const Netlist& nl, const std::vector<CellId>& cone) {
+  std::vector<bool> in_cone(nl.num_cells(), false);
+  for (CellId id : cone) in_cone[id.value()] = true;
+  std::vector<CellId> order = topological_order(nl);
+  std::erase_if(order, [&](CellId id) { return !in_cone[id.value()]; });
+  return order;
+}
+
+std::vector<NetId> cone_nets(const Netlist& nl, const std::vector<CellId>& cone) {
+  std::vector<NetId> nets;
+  for (CellId id : cone) {
+    const Cell& c = nl.cell(id);
+    if (c.kind != CellKind::PrimaryInput && c.out.valid()) nets.push_back(c.out);
+  }
+  std::sort(nets.begin(), nets.end());
+  return nets;
+}
+
 }  // namespace opiso

@@ -95,4 +95,14 @@ struct CombBlock {
 [[nodiscard]] std::vector<CellId> dirty_cone(const Netlist& nl,
                                              const std::vector<CellId>& seeds);
 
+/// topological_order restricted to `cone` (relative order kept): the
+/// evaluation order of a cone replay, so replay semantics match a full
+/// run exactly.
+[[nodiscard]] std::vector<CellId> cone_order(const Netlist& nl, const std::vector<CellId>& cone);
+
+/// Nets a cone replay recomputes: the outputs of the cone's evaluated
+/// (non-PI/PO) cells, ascending. Every net appended after the baseline
+/// is driven by a new, hence dirty, cell, so it is among them.
+[[nodiscard]] std::vector<NetId> cone_nets(const Netlist& nl, const std::vector<CellId>& cone);
+
 }  // namespace opiso

@@ -4,7 +4,7 @@
 #include <set>
 #include <tuple>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

@@ -13,7 +13,7 @@
 #include "power/estimator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 #include "verify/equiv.hpp"
 
 namespace opiso {

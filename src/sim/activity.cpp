@@ -1,6 +1,6 @@
 #include "sim/activity.hpp"
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

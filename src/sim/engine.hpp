@@ -37,8 +37,8 @@ class ProbeHost {
 /// engine's full settled-state array for that cycle. For the scalar
 /// Simulator `data` is the per-net value array (`n` = nets); for the
 /// lane-parallel engine it is the bit-plane word array (`n` = plane
-/// words). This is the capture hook of the incremental dirty-cone
-/// engine's frame tape (sim/incremental.hpp).
+/// words). This is the capture hook of the incremental session's frame
+/// tape, which the engines' replay mode reads back (sim/incremental.hpp).
 class FrameSink {
  public:
   virtual ~FrameSink() = default;

@@ -1,27 +1,17 @@
 #include "sim/incremental.hpp"
 
-#include <bit>
-#include <cstring>
+#include <algorithm>
 
 #include "netlist/traversal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/cycle_trace.hpp"
-#include "sim/eval_scalar.hpp"
 #include "sim/parallel_sim.hpp"
-#include "sim/plane_program.hpp"
 #include "sim/simulator.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
 namespace {
-
-constexpr unsigned K = kPlaneWords;
-
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
 
 /// Captures every settled frame verbatim into one flat array.
 class TapeSink final : public FrameSink {
@@ -34,139 +24,6 @@ class TapeSink final : public FrameSink {
  private:
   std::vector<std::uint64_t>* tape_;
 };
-
-/// ProbeHost that records the registered expressions without an engine:
-/// probe indices are assigned in registration order, exactly as the
-/// engines assign them, so replaying the recorded list onto an engine
-/// (or evaluating it directly) preserves every index.
-class ProbeCollector final : public ProbeHost {
- public:
-  std::size_t add_probe(ExprRef expr) override {
-    probes.push_back(expr);
-    return probes.size() - 1;
-  }
-  std::vector<ExprRef> probes;
-};
-
-/// Lane-parallel probe evaluation over the reconstructed plane array —
-/// the standalone mirror of ParallelSimulator::eval_expr_lanes (same
-/// masked operations over plane-0 blocks, same per-cycle memoization),
-/// so probe counters replay bit-identically.
-class LaneExprEval {
- public:
-  LaneExprEval(const ExprPool* pool, const NetVarMap* vars,
-               const std::vector<std::size_t>& plane_off, const PlaneBlock& lane_mask)
-      : pool_(pool), vars_(vars), plane_off_(plane_off), lane_mask_(lane_mask) {}
-
-  /// `planes` is re-pointed every cycle: the replay loop retires the
-  /// current plane array into `prev` by buffer swap.
-  void next_cycle(const std::uint64_t* planes) {
-    planes_ = planes;
-    ++gen_;
-  }
-
-  void eval(ExprRef r, std::uint64_t* out) {
-    const std::size_t idx = r.value();
-    if (idx * K < val_.size() && gen_of_[idx] == gen_) {
-      for (unsigned k = 0; k < K; ++k) out[k] = val_[idx * K + k];
-      return;
-    }
-    const ExprNode& n = pool_->node(r);
-    std::uint64_t v[K] = {};
-    std::uint64_t tmp_b[K];
-    switch (n.op) {
-      case ExprOp::Const0:
-        break;
-      case ExprOp::Const1:
-        for (unsigned k = 0; k < K; ++k) v[k] = lane_mask_[k];
-        break;
-      case ExprOp::Var: {
-        const std::size_t off = plane_off_[vars_->net_of(n.var).value()] * K;
-        for (unsigned k = 0; k < K; ++k) v[k] = planes_[off + k];
-        break;
-      }
-      case ExprOp::Not:
-        eval(n.a, v);
-        for (unsigned k = 0; k < K; ++k) v[k] = ~v[k] & lane_mask_[k];
-        break;
-      case ExprOp::And:
-        eval(n.a, v);
-        eval(n.b, tmp_b);
-        for (unsigned k = 0; k < K; ++k) v[k] &= tmp_b[k];
-        break;
-      case ExprOp::Or:
-        eval(n.a, v);
-        eval(n.b, tmp_b);
-        for (unsigned k = 0; k < K; ++k) v[k] |= tmp_b[k];
-        break;
-    }
-    if (idx * K >= val_.size()) {
-      val_.resize(pool_->num_nodes() * K, 0);
-      gen_of_.resize(pool_->num_nodes(), 0);
-    }
-    for (unsigned k = 0; k < K; ++k) {
-      val_[idx * K + k] = v[k];
-      out[k] = v[k];
-    }
-    gen_of_[idx] = gen_;
-  }
-
- private:
-  const ExprPool* pool_;
-  const NetVarMap* vars_;
-  const std::vector<std::size_t>& plane_off_;
-  const std::uint64_t* planes_ = nullptr;
-  const PlaneBlock& lane_mask_;
-  std::vector<std::uint64_t> val_;
-  std::vector<std::uint64_t> gen_of_;
-  std::uint64_t gen_ = 0;
-};
-
-/// Cone cells in evaluation order (the global topological order
-/// filtered to the cone — relative order, and hence replay semantics,
-/// match the full engines exactly), PIs/POs dropped.
-std::vector<CellId> cone_eval_order(const Netlist& nl, const std::vector<CellId>& cone) {
-  std::vector<bool> in_cone(nl.num_cells(), false);
-  for (CellId id : cone) in_cone[id.value()] = true;
-  std::vector<CellId> order;
-  for (CellId id : topological_order(nl)) {
-    if (!in_cone[id.value()]) continue;
-    const CellKind k = nl.cell(id).kind;
-    if (k == CellKind::PrimaryInput || k == CellKind::PrimaryOutput) continue;
-    order.push_back(id);
-  }
-  return order;
-}
-
-/// Per-net dirty mask: outputs of the cone's evaluated cells. Every net
-/// appended after the baseline is driven by a new (hence dirty) cell,
-/// so the mask covers all of them too.
-std::vector<bool> dirty_net_mask(const Netlist& nl, const std::vector<CellId>& cone_order) {
-  std::vector<bool> dirty(nl.num_nets(), false);
-  for (CellId id : cone_order) {
-    const NetId out = nl.cell(id).out;
-    if (out.valid()) dirty[out.value()] = true;
-  }
-  return dirty;
-}
-
-ActivityStats make_stats_shape(const Netlist& nl, std::size_t num_probes, bool bit_stats,
-                               std::uint32_t batch_frames) {
-  ActivityStats s;
-  s.toggles.assign(nl.num_nets(), 0);
-  s.ones.assign(nl.num_nets(), 0);
-  if (bit_stats) {
-    s.bit_toggles.resize(nl.num_nets());
-    for (NetId id : nl.net_ids()) s.bit_toggles[id.value()].assign(nl.net(id).width, 0);
-  }
-  s.probe_true.assign(num_probes, 0);
-  s.probe_toggles.assign(num_probes, 0);
-  if (batch_frames != 0) {
-    s.net_batches.configure(nl.num_nets(), batch_frames);
-    s.probe_batches.configure(num_probes, batch_frames);
-  }
-  return s;
-}
 
 }  // namespace
 
@@ -187,22 +44,9 @@ IncrementalSession::IncrementalSession(StimulusFactory stimuli, LaneStimulusFact
 
 ActivityStats IncrementalSession::measure(const Netlist& nl, const ExprPool* pool,
                                           const NetVarMap* vars,
-                                          const std::function<void(ProbeHost&)>& register_on,
-                                          CycleSink* sink) {
+                                          const ProbeRegistrar& register_on) {
   OPISO_SPAN("sim.incremental.measure");
-  // The single register_on call of this round: probes are collected
-  // here and forwarded (to the engine on a full run, to the replay
-  // evaluator otherwise) with their registration order — and hence
-  // indices — intact.
-  ProbeCollector collector;
-  if (register_on) register_on(collector);
-  if (!collector.probes.empty()) {
-    OPISO_REQUIRE(pool != nullptr && vars != nullptr,
-                  "IncrementalSession: probes require an ExprPool and NetVarMap");
-  }
-  if (!have_baseline_ || disabled_) {
-    return full_measure_with_probes(nl, pool, vars, collector.probes, sink);
-  }
+  if (!have_baseline_ || disabled_) return full_measure(nl, pool, vars, register_on);
   std::vector<CellId> seeds;
   try {
     seeds = changed_cells(*base_, nl);
@@ -211,7 +55,14 @@ ActivityStats IncrementalSession::measure(const Netlist& nl, const ExprPool* poo
     // a fresh full run instead of giving up for good.
     obs::metrics().counter("sim.incremental.rebases").add(1);
     have_baseline_ = false;
-    return full_measure_with_probes(nl, pool, vars, collector.probes, sink);
+    return full_measure(nl, pool, vars, register_on);
+  }
+  if (!stimulus_matches_tape()) {
+    // The factory is not round-invariant: the tape cannot stand in for
+    // a re-simulation. Permanently fall back to full runs.
+    disabled_ = true;
+    obs::metrics().counter("sim.incremental.verify_failures").add(1);
+    return full_measure(nl, pool, vars, register_on);
   }
   const std::vector<CellId> cone = dirty_cone(nl, seeds);
   last_cone_cells_ = cone.size();
@@ -222,17 +73,12 @@ ActivityStats IncrementalSession::measure(const Netlist& nl, const ExprPool* poo
   m.gauge("sim.incremental.cone_fraction")
       .set(static_cast<double>(cone.size()) / static_cast<double>(std::max<std::size_t>(1, nl.num_cells())));
   OPISO_SPAN("sim.incremental.replay");
-  if (cfg_.engine == SimEngineKind::Parallel) {
-    return replay_parallel(nl, pool, vars, collector.probes, sink, cone);
-  }
-  return replay_scalar(nl, pool, vars, collector.probes, sink, cone);
+  return assemble(cone_nets(nl, cone), simulate(nl, pool, vars, register_on, &cone, nullptr));
 }
 
-ActivityStats IncrementalSession::full_measure_with_probes(const Netlist& nl,
-                                                           const ExprPool* pool,
-                                                           const NetVarMap* vars,
-                                                           const std::vector<ExprRef>& probes,
-                                                           CycleSink* sink) {
+ActivityStats IncrementalSession::full_measure(const Netlist& nl, const ExprPool* pool,
+                                               const NetVarMap* vars,
+                                               const ProbeRegistrar& register_on) {
   OPISO_SPAN("sim.incremental.full");
   ++full_runs_;
   obs::metrics().counter("sim.incremental.full_runs").add(1);
@@ -246,7 +92,7 @@ ActivityStats IncrementalSession::full_measure_with_probes(const Netlist& nl,
   if (cfg_.engine == SimEngineKind::Parallel) {
     std::size_t planes = 0;
     for (NetId id : nl.net_ids()) planes += nl.net(id).width;
-    fw = planes * K;
+    fw = planes * kPlaneWords;
   } else {
     fw = nl.num_nets();
   }
@@ -260,32 +106,8 @@ ActivityStats IncrementalSession::full_measure_with_probes(const Netlist& nl,
     tape_.reserve(frames * fw);
   }
   TapeSink tape_sink(&tape_);
-
-  ActivityStats stats;
-  if (cfg_.engine == SimEngineKind::Parallel) {
-    ParallelSimulator sim(nl, cfg_.lanes, pool, vars);
-    if (cfg_.bit_stats) sim.enable_bit_stats();
-    if (cfg_.batch_frames != 0) sim.enable_batch_stats(cfg_.batch_frames);
-    for (ExprRef p : probes) (void)sim.add_probe(p);
-    sim.set_stimulus(lane_stimuli_);
-    if (capture) sim.set_frame_sink(&tape_sink);
-    if (warmup_frames_ > 0) sim.warmup(warmup_frames_);
-    if (sink) sim.set_cycle_sink(sink);
-    sim.run(measured_frames_);
-    stats = sim.stats();
-  } else {
-    Simulator sim(nl, pool, vars);
-    if (cfg_.bit_stats) sim.enable_bit_stats();
-    if (cfg_.batch_frames != 0) sim.enable_batch_stats(cfg_.batch_frames);
-    for (ExprRef p : probes) (void)sim.add_probe(p);
-    if (capture) sim.set_frame_sink(&tape_sink);
-    std::unique_ptr<Stimulus> stim = stimuli_();
-    if (warmup_frames_ > 0) sim.warmup(*stim, warmup_frames_);
-    if (sink) sim.set_cycle_sink(sink);
-    sim.run(*stim, measured_frames_);
-    stats = sim.stats();
-  }
-
+  ActivityStats stats =
+      simulate(nl, pool, vars, register_on, nullptr, capture ? &tape_sink : nullptr);
   if (capture) {
     base_.emplace(nl);
     base_stats_ = stats;
@@ -297,257 +119,82 @@ ActivityStats IncrementalSession::full_measure_with_probes(const Netlist& nl,
   return stats;
 }
 
-ActivityStats IncrementalSession::assemble(const Netlist& nl, const std::vector<bool>& dirty,
+ActivityStats IncrementalSession::simulate(const Netlist& nl, const ExprPool* pool,
+                                           const NetVarMap* vars,
+                                           const ProbeRegistrar& register_on,
+                                           const std::vector<CellId>* cone, FrameSink* capture) {
+  // Warmup frames run first and their statistics are dropped, exactly
+  // as the engines' warmup() does; `advance` steps either engine mode.
+  const auto round = [&](auto& sim, const auto& advance) {
+    if (cfg_.batch_frames != 0) sim.enable_batch_stats(cfg_.batch_frames);
+    if (register_on) register_on(sim);
+    if (capture != nullptr) sim.set_frame_sink(capture);
+    if (warmup_frames_ > 0) {
+      advance(warmup_frames_);
+      sim.reset_stats();
+    }
+    advance(measured_frames_);
+    return std::move(sim).stats();
+  };
+  const std::uint64_t* tape = tape_.data();
+  if (cfg_.engine == SimEngineKind::Parallel) {
+    ParallelSimulator sim(nl, cfg_.lanes, pool, vars, cone);
+    if (cone == nullptr) sim.set_stimulus(lane_stimuli_);
+    return round(sim, [&](std::uint64_t frames) {
+      if (cone != nullptr) {
+        sim.replay(tape, frame_words_, frames);
+      } else {
+        sim.run(frames);
+      }
+    });
+  }
+  Simulator sim(nl, pool, vars, cone);
+  const std::unique_ptr<Stimulus> stim = cone == nullptr ? stimuli_() : nullptr;
+  return round(sim, [&](std::uint64_t frames) {
+    if (cone != nullptr) {
+      sim.replay(tape, frame_words_, frames);
+    } else {
+      sim.run(*stim, frames);
+    }
+  });
+}
+
+bool IncrementalSession::stimulus_matches_tape() const {
+  if (!cfg_.verify_stimulus || cfg_.engine != SimEngineKind::Scalar) return true;
+  const Netlist& nl = *base_;
+  const std::unique_ptr<Stimulus> stim = stimuli_();
+  const std::uint64_t frames = warmup_frames_ + measured_frames_;
+  for (std::uint64_t f = 0; f < frames; ++f) {
+    for (CellId pi : nl.primary_inputs()) {
+      const NetId out = nl.cell(pi).out;
+      const unsigned width = nl.net(out).width;
+      const std::uint64_t mask =
+          width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+      if ((stim->next(nl, pi, f) & mask) != tape_[f * frame_words_ + out.value()]) return false;
+    }
+  }
+  return true;
+}
+
+ActivityStats IncrementalSession::assemble(const std::vector<NetId>& dirty_nets,
                                            ActivityStats&& replayed) const {
   // Nets outside the cone replay the baseline bit for bit, so their
   // counters are the baseline's counters; the loop bound is the
   // baseline's net count because every appended net is dirty.
-  (void)nl;
-  for (std::size_t n = 0; n < base_->num_nets(); ++n) {
+  std::vector<bool> dirty(base_->num_nets(), false);
+  for (NetId n : dirty_nets) {
+    if (n.value() < dirty.size()) dirty[n.value()] = true;
+  }
+  for (std::size_t n = 0; n < dirty.size(); ++n) {
     if (dirty[n]) continue;
     replayed.toggles[n] = base_stats_.toggles[n];
     replayed.ones[n] = base_stats_.ones[n];
-    if (!replayed.bit_toggles.empty() && !base_stats_.bit_toggles.empty()) {
-      replayed.bit_toggles[n] = base_stats_.bit_toggles[n];
-    }
     // Batch-means cells partition exactly like the counters above:
     // clean nets carry the baseline's per-window cells, dirty nets keep
     // the replayed ones (probe cells were fully recomputed already).
     replayed.net_batches.copy_series(base_stats_.net_batches, n);
   }
-  replayed.cycles = base_stats_.cycles;
   return std::move(replayed);
-}
-
-ActivityStats IncrementalSession::replay_scalar(const Netlist& nl, const ExprPool* pool,
-                                                const NetVarMap* vars,
-                                                const std::vector<ExprRef>& probes,
-                                                CycleSink* sink,
-                                                const std::vector<CellId>& cone) {
-  const std::size_t nn = nl.num_nets();
-  const std::uint64_t frames = warmup_frames_ + measured_frames_;
-  const std::vector<CellId> cone_order = cone_eval_order(nl, cone);
-  const std::vector<bool> dirty = dirty_net_mask(nl, cone_order);
-  std::vector<std::uint32_t> dirty_nets;
-  for (std::uint32_t n = 0; n < nn; ++n) {
-    if (dirty[n]) dirty_nets.push_back(n);
-  }
-
-  std::vector<std::uint64_t> value(nn, 0);
-  std::vector<std::uint64_t> prev(nn, 0);
-  std::vector<std::uint64_t> state(nl.num_cells(), 0);
-  std::vector<std::uint64_t> mask(nn);
-  for (NetId id : nl.net_ids()) mask[id.value()] = width_mask(nl.net(id).width);
-
-  ActivityStats rs = make_stats_shape(nl, probes.size(), cfg_.bit_stats, cfg_.batch_frames);
-  std::vector<bool> prev_probe(probes.size(), false);
-  std::vector<std::uint32_t> sink_toggles(sink ? nn : 0, 0);
-
-  std::unique_ptr<Stimulus> verify_stim;
-  if (cfg_.verify_stimulus) verify_stim = stimuli_();
-
-  for (std::uint64_t f = 0; f < frames; ++f) {
-    if (f > 0) std::swap(prev, value);
-    std::memcpy(value.data(), tape_.data() + f * frame_words_,
-                frame_words_ * sizeof(std::uint64_t));
-    if (verify_stim) {
-      for (CellId pi : nl.primary_inputs()) {
-        const NetId out = nl.cell(pi).out;
-        const std::uint64_t expect = verify_stim->next(nl, pi, f) & mask[out.value()];
-        if (expect != value[out.value()]) {
-          // The factory is not round-invariant: the tape cannot stand
-          // in for a re-simulation. Permanently fall back to full runs.
-          disabled_ = true;
-          obs::metrics().counter("sim.incremental.verify_failures").add(1);
-          return full_measure_with_probes(nl, pool, vars, probes, sink);
-        }
-      }
-    }
-    for (CellId id : cone_order) {
-      const Cell& c = nl.cell(id);
-      value[c.out.value()] =
-          eval_scalar_cell(c, value.data(), state[id.value()]) & mask[c.out.value()];
-    }
-    const bool measured = f >= warmup_frames_;
-    if (measured && rs.net_batches.enabled()) {
-      rs.net_batches.begin_frame();
-      rs.probe_batches.begin_frame();
-    }
-    if (measured) {
-      if (f > 0) {
-        for (std::uint32_t n : dirty_nets) {
-          std::uint64_t diff = value[n] ^ prev[n];
-          const auto pc = static_cast<std::uint64_t>(std::popcount(diff));
-          rs.toggles[n] += pc;
-          rs.net_batches.add(n, pc);
-          if (!rs.bit_toggles.empty()) {
-            auto& bits = rs.bit_toggles[n];
-            while (diff) {
-              ++bits[static_cast<std::size_t>(std::countr_zero(diff))];
-              diff &= diff - 1;
-            }
-          }
-        }
-      }
-      for (std::uint32_t n : dirty_nets) rs.ones[n] += value[n] & 1;
-      if (sink) {
-        if (f > 0) {
-          for (std::size_t n = 0; n < nn; ++n) {
-            sink_toggles[n] = static_cast<std::uint32_t>(std::popcount(value[n] ^ prev[n]));
-          }
-        } else {
-          std::fill(sink_toggles.begin(), sink_toggles.end(), 0);
-        }
-        sink->on_cycle(nl, f, 1, sink_toggles, value.data());
-      }
-    }
-    // Probes run on every frame — warmup included — so the previous
-    // probe value threads across the warmup boundary exactly as it
-    // does inside the engines (reset_stats drops counters, not state).
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-      const bool hold = pool->eval(probes[p], [&](BoolVar v) {
-        return (value[vars->net_of(v).value()] & 1) != 0;
-      });
-      if (measured) {
-        if (hold) {
-          ++rs.probe_true[p];
-          rs.probe_batches.add(p, 1);
-        }
-        if (f > 0 && hold != prev_probe[p]) ++rs.probe_toggles[p];
-      }
-      prev_probe[p] = hold;
-    }
-    for (CellId id : cone_order) {
-      const Cell& c = nl.cell(id);
-      if (c.kind == CellKind::Reg) clock_scalar_reg(c, value.data(), state[id.value()]);
-    }
-  }
-  return assemble(nl, dirty, std::move(rs));
-}
-
-ActivityStats IncrementalSession::replay_parallel(const Netlist& nl, const ExprPool* pool,
-                                                  const NetVarMap* vars,
-                                                  const std::vector<ExprRef>& probes,
-                                                  CycleSink* sink,
-                                                  const std::vector<CellId>& cone) {
-  const std::uint64_t frames = warmup_frames_ + measured_frames_;
-  const unsigned lanes = cfg_.lanes;
-  PlaneBlock lane_mask{};
-  for (unsigned k = 0; k < K; ++k) {
-    const unsigned lo = 64 * k;
-    if (lanes >= lo + 64) {
-      lane_mask[k] = ~std::uint64_t{0};
-    } else if (lanes > lo) {
-      lane_mask[k] = (std::uint64_t{1} << (lanes - lo)) - 1;
-    } else {
-      lane_mask[k] = 0;
-    }
-  }
-
-  // Plane/state layouts are assigned in ascending id order, so the
-  // baseline netlist's offsets are a stable prefix of these — the tape
-  // frame memcpys straight into the front of the plane array.
-  std::vector<std::size_t> plane_off(nl.num_nets());
-  std::size_t planes_total = 0;
-  for (NetId id : nl.net_ids()) {
-    plane_off[id.value()] = planes_total;
-    planes_total += nl.net(id).width;
-  }
-  std::vector<std::size_t> state_off(nl.num_cells());
-  std::size_t state_planes = 0;
-  for (CellId id : nl.cell_ids()) {
-    const Cell& c = nl.cell(id);
-    state_off[id.value()] = state_planes;
-    if (c.kind == CellKind::Reg || cell_kind_is_latch(c.kind)) state_planes += c.width;
-  }
-
-  const std::vector<CellId> cone_order = cone_eval_order(nl, cone);
-  const std::vector<bool> dirty = dirty_net_mask(nl, cone_order);
-  const PlaneProgram prog = build_plane_program(nl, cone_order, plane_off, state_off);
-
-  std::vector<std::uint64_t> planes(planes_total * K, 0);
-  std::vector<std::uint64_t> prev(planes_total * K, 0);
-  std::vector<std::uint64_t> state(state_planes * K, 0);
-
-  ActivityStats rs = make_stats_shape(nl, probes.size(), cfg_.bit_stats, cfg_.batch_frames);
-  std::vector<std::uint64_t> prev_probe(probes.size() * K, 0);
-  std::vector<std::uint32_t> sink_toggles(sink ? nl.num_nets() : 0, 0);
-  LaneExprEval expr_eval(pool, vars, plane_off, lane_mask);
-
-  for (std::uint64_t f = 0; f < frames; ++f) {
-    if (f > 0) std::swap(prev, planes);
-    std::memcpy(planes.data(), tape_.data() + f * frame_words_,
-                frame_words_ * sizeof(std::uint64_t));
-    eval_plane_program(prog, planes.data(), state.data(), lane_mask.data());
-    const bool measured = f >= warmup_frames_;
-    if (measured && rs.net_batches.enabled()) {
-      rs.net_batches.begin_frame();
-      rs.probe_batches.begin_frame();
-    }
-    if (measured) {
-      for (NetId id : nl.net_ids()) {
-        const std::size_t n = id.value();
-        if (!dirty[n]) continue;
-        const unsigned width = nl.net(id).width;
-        const std::size_t off = plane_off[n] * K;
-        if (f > 0) {
-          std::uint64_t total = 0;
-          for (unsigned b = 0; b < width; ++b) {
-            std::uint64_t pc = 0;
-            for (unsigned k = 0; k < K; ++k) {
-              pc += static_cast<std::uint64_t>(
-                  std::popcount(planes[off + b * K + k] ^ prev[off + b * K + k]));
-            }
-            total += pc;
-            if (!rs.bit_toggles.empty()) rs.bit_toggles[n][b] += pc;
-          }
-          rs.toggles[n] += total;
-          rs.net_batches.add(n, total);
-        }
-        std::uint64_t ones_pc = 0;
-        for (unsigned k = 0; k < K; ++k) {
-          ones_pc += static_cast<std::uint64_t>(std::popcount(planes[off + k]));
-        }
-        rs.ones[n] += ones_pc;
-      }
-      if (sink) {
-        for (NetId id : nl.net_ids()) {
-          const std::size_t n = id.value();
-          std::uint32_t total = 0;
-          if (f > 0) {
-            const unsigned width = nl.net(id).width;
-            const std::size_t off = plane_off[n] * K;
-            for (unsigned b = 0; b < width * K; ++b) {
-              total += static_cast<std::uint32_t>(std::popcount(planes[off + b] ^ prev[off + b]));
-            }
-          }
-          sink_toggles[n] = total;
-        }
-        sink->on_cycle(nl, f, lanes, sink_toggles, nullptr);
-      }
-    }
-    if (!probes.empty()) {
-      expr_eval.next_cycle(planes.data());
-      std::uint64_t hold[K];
-      for (std::size_t p = 0; p < probes.size(); ++p) {
-        expr_eval.eval(probes[p], hold);
-        std::uint64_t pc_true = 0;
-        std::uint64_t pc_tog = 0;
-        for (unsigned k = 0; k < K; ++k) {
-          pc_true += static_cast<std::uint64_t>(std::popcount(hold[k]));
-          pc_tog += static_cast<std::uint64_t>(std::popcount(hold[k] ^ prev_probe[p * K + k]));
-          prev_probe[p * K + k] = hold[k];
-        }
-        if (measured) {
-          rs.probe_true[p] += pc_true;
-          rs.probe_batches.add(p, pc_true);
-          if (f > 0) rs.probe_toggles[p] += pc_tog;
-        }
-      }
-    }
-    clock_plane_program(prog, planes.data(), state.data());
-  }
-  return assemble(nl, dirty, std::move(rs));
 }
 
 }  // namespace opiso

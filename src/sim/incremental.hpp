@@ -16,22 +16,21 @@
 // lane-parallel — of every cycle, warmup included, via the engines'
 // FrameSink hook). Each later round diffs the evolved netlist against
 // the baseline (changed_cells), closes the diff into a dirty cone
-// (dirty_cone), and then replays the tape: per cycle it memcpys the
-// frame into the stable prefix of the value/plane array and re-evaluates
-// only the cone's cells — with the same kernels the engines use
-// (eval_scalar_cell / eval_plane_program), so cone values are
-// bit-identical to a full re-run by construction. Statistics partition
-// the same way: toggle/ones counters of nets outside the cone are
-// carried forward from the baseline ActivityStats; cone nets are
-// re-counted from the replay; probe counters (which change per round)
-// are always re-evaluated on the reconstructed state.
+// (dirty_cone), and runs the same engine in replay mode over that cone
+// (Simulator / ParallelSimulator constructed with a replay cone): per
+// cycle the engine memcpys the tape frame into the stable prefix of its
+// value/plane array instead of drawing stimulus, then settles, counts
+// and clocks only the cone — so cone values, probes and batch windows
+// are bit-identical to a full re-run by construction. The session then
+// splices the baseline run's counters back in for every net outside the
+// cone (assemble).
 //
 // Contract: the stimulus factories must be deterministic and
 // round-invariant — every call must yield the same value sequence (the
 // CLI's seeded factories do). Otherwise a full re-simulation would not
 // reproduce the tape either; verify_stimulus spot-checks the contract
-// on the scalar engine by re-drawing the stimulus during replay and
-// comparing primary-input values against the tape.
+// on the scalar engine by re-drawing the stimulus before a replay and
+// comparing it against the tape's primary-input slots.
 //
 // Fallbacks are silent and safe: a tape exceeding tape_budget_bytes, a
 // netlist evolution changed_cells cannot express, or a verify mismatch
@@ -52,8 +51,6 @@
 
 namespace opiso {
 
-class CycleSink;
-
 struct IncrementalConfig {
   SimEngineKind engine = SimEngineKind::Scalar;
   /// Lanes of the parallel engine (ignored by the scalar engine).
@@ -65,11 +62,10 @@ struct IncrementalConfig {
   /// Frame-tape memory ceiling. A run whose tape would exceed it is not
   /// captured and the session measures in full every round.
   std::size_t tape_budget_bytes = std::size_t{256} << 20;
-  /// Re-draw the stimulus during scalar replay and compare primary
-  /// inputs against the tape (detects non-round-invariant factories).
+  /// Before each scalar replay, re-draw the stimulus and compare it
+  /// against the tape's primary inputs (detects non-round-invariant
+  /// factories).
   bool verify_stimulus = false;
-  /// Collect per-bit toggle statistics in every round.
-  bool bit_stats = false;
   /// Collect batch-means moments (obs/confidence.hpp) in every round:
   /// replays recompute dirty-net and probe cells and splice the carried
   /// clean-net cells, so the confidence section stays bitwise identical
@@ -81,6 +77,7 @@ class IncrementalSession {
  public:
   using StimulusFactory = std::function<std::unique_ptr<Stimulus>()>;
   using LaneStimulusFactory = std::function<std::unique_ptr<Stimulus>(unsigned lane)>;
+  using ProbeRegistrar = std::function<void(ProbeHost&)>;
 
   /// `stimuli` drives the scalar engine, `lane_stimuli` the parallel
   /// one; only the factory matching cfg.engine is required.
@@ -90,13 +87,11 @@ class IncrementalSession {
   /// One measurement round over `nl`, which must be the baseline
   /// netlist or an append-only evolution of it (the isolation
   /// transform's guarantee). `register_on` registers this round's
-  /// probes (ExprRefs in `pool` over `vars`); `sink` observes the
-  /// measured cycles' per-net toggle counts exactly as if attached to
-  /// the full engine after warmup. Returns statistics bit-identical to
-  /// a full engine run with the same configuration.
+  /// probes (ExprRefs in `pool` over `vars`) on the round's engine.
+  /// Returns statistics bit-identical to a full engine run with the
+  /// same configuration.
   ActivityStats measure(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
-                        const std::function<void(ProbeHost&)>& register_on = nullptr,
-                        CycleSink* sink = nullptr);
+                        const ProbeRegistrar& register_on = nullptr);
 
   // -- introspection (tests, reports, docs) --------------------------------
   /// True once a baseline tape is in place and replays are possible.
@@ -108,18 +103,20 @@ class IncrementalSession {
   [[nodiscard]] std::size_t tape_bytes() const { return tape_.size() * sizeof(std::uint64_t); }
 
  private:
-  ActivityStats full_measure_with_probes(const Netlist& nl, const ExprPool* pool,
-                                         const NetVarMap* vars,
-                                         const std::vector<ExprRef>& probes, CycleSink* sink);
-  ActivityStats replay_scalar(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
-                              const std::vector<ExprRef>& probes, CycleSink* sink,
-                              const std::vector<CellId>& cone);
-  ActivityStats replay_parallel(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
-                                const std::vector<ExprRef>& probes, CycleSink* sink,
-                                const std::vector<CellId>& cone);
-  /// Merge replayed counters (dirty nets) with baseline counters.
-  ActivityStats assemble(const Netlist& nl, const std::vector<bool>& dirty,
-                         ActivityStats&& replayed) const;
+  ActivityStats full_measure(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
+                             const ProbeRegistrar& register_on);
+  /// The engine setup both kinds of round share: a full run (drawing
+  /// stimulus, recording into `capture` when set) or, with `cone`, a
+  /// replay of the tape over that cone.
+  ActivityStats simulate(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
+                         const ProbeRegistrar& register_on, const std::vector<CellId>* cone,
+                         FrameSink* capture);
+  /// verify_stimulus: does a fresh scalar stimulus reproduce the tape's
+  /// primary-input slots?
+  [[nodiscard]] bool stimulus_matches_tape() const;
+  /// Carry baseline counters into `replayed` for every net outside the
+  /// cone (the replay counted only the cone's nets).
+  ActivityStats assemble(const std::vector<NetId>& dirty_nets, ActivityStats&& replayed) const;
 
   StimulusFactory stimuli_;
   LaneStimulusFactory lane_stimuli_;

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstring>
 
 #include "netlist/traversal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/cycle_trace.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
@@ -22,8 +23,9 @@ constexpr unsigned K = kPlaneWords;
 }  // namespace
 
 ParallelSimulator::ParallelSimulator(const Netlist& nl, unsigned lanes, const ExprPool* pool,
-                                     const NetVarMap* vars)
-    : nl_(nl), pool_(pool), vars_(vars), lanes_(lanes) {
+                                     const NetVarMap* vars,
+                                     const std::vector<CellId>* replay_cone)
+    : nl_(nl), pool_(pool), vars_(vars), lanes_(lanes), replay_(replay_cone != nullptr) {
   OPISO_REQUIRE(lanes >= 1 && lanes <= kMaxLanes,
                 "ParallelSimulator: lanes must be in [1," + std::to_string(kMaxLanes) + "]");
   nl_.validate();
@@ -37,8 +39,16 @@ ParallelSimulator::ParallelSimulator(const Netlist& nl, unsigned lanes, const Ex
       lane_mask_[k] = 0;
     }
   }
-  order_ = topological_order(nl_);
+  if (replay_) {
+    order_ = cone_order(nl_, *replay_cone);
+    cone_nets_ = cone_nets(nl_, *replay_cone);
+  } else {
+    order_ = topological_order(nl_);
+  }
 
+  // Plane/state layouts are assigned in ascending id order, so an
+  // append-only evolution of a netlist keeps the original's offsets as
+  // a prefix — a replay tape frame memcpys straight into the front.
   plane_off_.resize(nl_.num_nets());
   std::size_t planes = 0;
   for (NetId id : nl_.net_ids()) {
@@ -326,18 +336,16 @@ void ParallelSimulator::eval_expr_lanes(ExprRef r, std::uint64_t* out) {
 }
 
 void ParallelSimulator::set_cycle_sink(CycleSink* sink) {
+  OPISO_REQUIRE(!replay_ || sink == nullptr, "ParallelSimulator: cycle sinks need a full run");
   sink_ = sink;
   if (sink_) sink_toggles_.assign(nl_.num_nets(), 0);
 }
 
-void ParallelSimulator::record_stats() {
+template <typename Nets>
+void ParallelSimulator::record_net_stats(const Nets& nets) {
   const bool bits = !stats_.bit_toggles.empty();
   const bool batches = stats_.net_batches.enabled();
-  if (batches) {
-    stats_.net_batches.begin_frame();
-    stats_.probe_batches.begin_frame();
-  }
-  for (NetId id : nl_.net_ids()) {
+  for (NetId id : nets) {
     const std::size_t n = id.value();
     const unsigned width = nl_.net(id).width;
     const std::size_t off = plane_off_[n] * K;
@@ -361,6 +369,21 @@ void ParallelSimulator::record_stats() {
       ones_pc += static_cast<std::uint64_t>(std::popcount(planes_[off + k]));
     }
     stats_.ones[n] += ones_pc;
+  }
+}
+
+void ParallelSimulator::record_stats() {
+  const bool batches = stats_.net_batches.enabled();
+  if (batches) {
+    stats_.net_batches.begin_frame();
+    stats_.probe_batches.begin_frame();
+  }
+  // Replay mode counts the cone's nets only; the session carries every
+  // other net's counters over from the run the tape was recorded in.
+  if (replay_) {
+    record_net_stats(cone_nets_);
+  } else {
+    record_net_stats(nl_.net_ids());
   }
   if (sink_) {
     if (!has_prev_) std::fill(sink_toggles_.begin(), sink_toggles_.end(), 0);
@@ -386,17 +409,15 @@ void ParallelSimulator::record_stats() {
   stats_.cycles += lanes_;
 }
 
-void ParallelSimulator::run(std::uint64_t cycles) {
-  OPISO_REQUIRE(lane_stims_.size() == lanes_,
-                "ParallelSimulator::run: set_stimulus() must be called first");
-  OPISO_SPAN("sim.parallel.run");
-  const auto wall_start = std::chrono::steady_clock::now();
+template <typename LoadInputs>
+void ParallelSimulator::step(std::uint64_t cycles, LoadInputs&& load_inputs) {
   for (std::uint64_t i = 0; i < cycles; ++i) {
-    // Every net plane is rewritten below (PO cells drive no net), so
+    // Every net plane is rewritten below (PO cells drive no net; in
+    // replay mode the tape frame covers every net outside the cone), so
     // last cycle's values are retired into prev_ by pointer swap rather
-    // than a copy; planes_ keeps the final values once run() returns.
+    // than a copy; planes_ keeps the final values once the loop returns.
     if (has_prev_) std::swap(prev_, planes_);
-    drive_inputs();
+    load_inputs();
     eval_plane_program(program_, planes_.data(), state_.data(), lane_mask_.data());
     if (frame_sink_) frame_sink_->on_frame(cycle_, planes_.data(), planes_.size());
     record_stats();
@@ -404,6 +425,15 @@ void ParallelSimulator::run(std::uint64_t cycles) {
     has_prev_ = true;
     ++cycle_;
   }
+}
+
+void ParallelSimulator::run(std::uint64_t cycles) {
+  OPISO_REQUIRE(!replay_, "ParallelSimulator::run: a replay-mode engine only replays");
+  OPISO_REQUIRE(lane_stims_.size() == lanes_,
+                "ParallelSimulator::run: set_stimulus() must be called first");
+  OPISO_SPAN("sim.parallel.run");
+  const auto wall_start = std::chrono::steady_clock::now();
+  step(cycles, [this] { drive_inputs(); });
   // Coarse-boundary metrics flush (once per run(), never per cycle).
   const std::uint64_t run_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
@@ -419,6 +449,16 @@ void ParallelSimulator::run(std::uint64_t cycles) {
     m.gauge("sim.parallel.lanes_per_sec")
         .set(static_cast<double>(lane_cycles) * 1e9 / static_cast<double>(run_ns));
   }
+}
+
+void ParallelSimulator::replay(const std::uint64_t* tape, std::size_t frame_words,
+                               std::uint64_t cycles) {
+  OPISO_REQUIRE(replay_, "ParallelSimulator::replay: not constructed over a replay cone");
+  OPISO_REQUIRE(frame_words <= planes_.size(),
+                "ParallelSimulator::replay: frame wider than the plane array");
+  step(cycles, [&] {
+    std::memcpy(planes_.data(), tape + cycle_ * frame_words, frame_words * sizeof(std::uint64_t));
+  });
 }
 
 void ParallelSimulator::reset_state() {

@@ -28,10 +28,17 @@
 //
 // Probes evaluate lane-parallel over plane 0 of their variables'
 // nets: one memoized DAG walk per cycle instead of one per lane.
+//
+// Constructed over a dirty cone (sim/incremental.hpp) the engine runs in
+// replay mode: replay() memcpys each macro-cycle's settled plane frame
+// from a recorded tape instead of drawing stimulus, the PlaneProgram
+// covers only the cone's cells, and net statistics are counted only on
+// the nets those cells drive.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "boolfn/expr.hpp"
@@ -56,9 +63,11 @@ class ParallelSimulator : public ProbeHost {
 
   /// The netlist must outlive the simulator; `lanes` in [1, kMaxLanes].
   /// `pool`/`vars` (optional, must outlive the simulator) enable Expr
-  /// probes, exactly as in the scalar Simulator.
+  /// probes, exactly as in the scalar Simulator. A non-null
+  /// `replay_cone` selects replay mode over those cells.
   explicit ParallelSimulator(const Netlist& nl, unsigned lanes = kMaxLanes,
-                             const ExprPool* pool = nullptr, const NetVarMap* vars = nullptr);
+                             const ExprPool* pool = nullptr, const NetVarMap* vars = nullptr,
+                             const std::vector<CellId>* replay_cone = nullptr);
 
   std::size_t add_probe(ExprRef expr) override;
 
@@ -70,6 +79,12 @@ class ParallelSimulator : public ProbeHost {
   /// Simulate `cycles` cycles in every lane (lanes() * cycles
   /// lane-cycles total). Statistics accumulate; lane state persists.
   void run(std::uint64_t cycles);
+
+  /// Replay mode only: simulate `cycles` macro-cycles, each loading
+  /// frame `cycle` of `tape` (`frame_words` plane words, a prefix of
+  /// this netlist's plane array) before settling the cone. Not a run:
+  /// no span, no sim.parallel.* metrics (the caller accounts for it).
+  void replay(const std::uint64_t* tape, std::size_t frame_words, std::uint64_t cycles);
 
   /// Run then drop statistics: flushes the reset transient.
   void warmup(std::uint64_t cycles) {
@@ -84,7 +99,8 @@ class ParallelSimulator : public ProbeHost {
   /// sink receives the per-net toggle counts folded over all lanes
   /// (popcount per plane, summed) — bitwise identical to the sample-wise
   /// sum of the scalar engine's per-lane traces. Net values are not
-  /// passed (they live in bit planes); attach after warmup.
+  /// passed (they live in bit planes); attach after warmup. Full mode
+  /// only.
   void set_cycle_sink(CycleSink* sink);
   /// Attach a frame observer (null detaches): after every settle the
   /// sink sees the full plane array (incremental tape capture).
@@ -97,7 +113,9 @@ class ParallelSimulator : public ProbeHost {
   /// identical to merging the per-lane scalar accumulators.
   void enable_batch_stats(std::uint32_t batch_frames);
 
-  [[nodiscard]] const ActivityStats& stats() const { return stats_; }
+  [[nodiscard]] const ActivityStats& stats() const& { return stats_; }
+  /// Moves the statistics out of an engine that is done simulating.
+  [[nodiscard]] ActivityStats stats() && { return std::move(stats_); }
   [[nodiscard]] unsigned lanes() const { return lanes_; }
   [[nodiscard]] const Netlist& netlist() const { return nl_; }
 
@@ -106,8 +124,12 @@ class ParallelSimulator : public ProbeHost {
   [[nodiscard]] std::uint64_t lane_value(NetId net, unsigned lane) const;
 
  private:
+  template <typename LoadInputs>
+  void step(std::uint64_t cycles, LoadInputs&& load_inputs);
   void drive_inputs();
   void record_stats();
+  template <typename Nets>
+  void record_net_stats(const Nets& nets);
   void eval_expr_lanes(ExprRef r, std::uint64_t* out);
 
   const Netlist& nl_;
@@ -115,8 +137,10 @@ class ParallelSimulator : public ProbeHost {
   const NetVarMap* vars_;
   unsigned lanes_;
   PlaneBlock lane_mask_{};  ///< active-lane mask, one block
-  std::vector<CellId> order_;  ///< topological order
+  std::vector<CellId> order_;  ///< topological order (cone cells in replay mode)
   PlaneProgram program_;       ///< SoA compilation of order_
+  bool replay_ = false;        ///< replay mode (see file comment)
+  std::vector<NetId> cone_nets_;  ///< replay mode: nets whose stats are counted
 
   std::vector<std::size_t> plane_off_;   ///< per net: bit-plane index (x kPlaneWords = word)
   std::vector<std::uint64_t> planes_;    ///< current value, one block per net bit

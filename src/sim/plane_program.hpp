@@ -8,9 +8,9 @@
 // holding the opcode, the pre-resolved plane-word offsets of its
 // output/input blocks, the widths needed for zero-extension, and the
 // state offset for stateful kinds. eval_plane_program is then a tight
-// loop over a contiguous op array — the same kernel serves the full
-// engine (ops = every cell) and the incremental cone replay (ops =
-// only the dirty cone's cells), which is what keeps the two paths
+// loop over a contiguous op array — the same kernel serves the
+// engine's full mode (ops = every cell) and its cone-replay mode (ops =
+// only the dirty cone's cells), which is what keeps the two modes
 // bit-identical by construction.
 //
 // Offsets are in words into the planes/state arrays (bit-plane index

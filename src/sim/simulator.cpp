@@ -2,28 +2,103 @@
 
 #include <bit>
 #include <chrono>
+#include <cstring>
 #include <numeric>
 #include <ostream>
+#include <ranges>
 
 #include "netlist/traversal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/cycle_trace.hpp"
-#include "sim/eval_scalar.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
 namespace {
+
 std::uint64_t width_mask(unsigned width) {
   return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
 }
+
+/// Evaluate one cell on the settled `value` array. `state` is the
+/// cell's held word — read for Reg outputs, updated level-sensitively
+/// for Latch/IsoLatch. Returns the unmasked output word.
+std::uint64_t eval_scalar_cell(const Cell& c, const std::uint64_t* value, std::uint64_t& state) {
+  auto in = [&](int p) { return value[c.ins[static_cast<std::size_t>(p)].value()]; };
+  switch (c.kind) {
+    case CellKind::PrimaryInput:  // excluded by the caller
+    case CellKind::PrimaryOutput:
+      return 0;
+    case CellKind::Constant:
+      return c.param;
+    case CellKind::Reg:
+      return state;
+    case CellKind::Add:
+      return in(0) + in(1);
+    case CellKind::Sub:
+      return in(0) - in(1);
+    case CellKind::Mul:
+      return in(0) * in(1);
+    case CellKind::Eq:
+      return in(0) == in(1) ? 1 : 0;
+    case CellKind::Lt:
+      return in(0) < in(1) ? 1 : 0;
+    case CellKind::Shl:
+      return c.param >= 64 ? 0 : in(0) << c.param;
+    case CellKind::Shr:
+      return c.param >= 64 ? 0 : in(0) >> c.param;
+    case CellKind::Not:
+      return ~in(0);
+    case CellKind::Buf:
+      return in(0);
+    case CellKind::And:
+      return in(0) & in(1);
+    case CellKind::Or:
+      return in(0) | in(1);
+    case CellKind::Xor:
+      return in(0) ^ in(1);
+    case CellKind::Nand:
+      return ~(in(0) & in(1));
+    case CellKind::Nor:
+      return ~(in(0) | in(1));
+    case CellKind::Xnor:
+      return ~(in(0) ^ in(1));
+    case CellKind::Mux2:
+      return (in(0) & 1) ? in(2) : in(1);
+    case CellKind::Latch:
+      // Transparent while EN = 1; holds otherwise (level-sensitive).
+      if (in(1) & 1) state = in(0);
+      return state;
+    case CellKind::IsoAnd:
+      return (in(1) & 1) ? in(0) : 0;
+    case CellKind::IsoOr:
+      return (in(1) & 1) ? in(0) : ~std::uint64_t{0};
+    case CellKind::IsoLatch:
+      if (in(1) & 1) state = in(0);
+      return state;
+  }
+  return 0;
+}
+
+/// The clock edge for one register: state <- D when EN bit 0 is set,
+/// reading the settled values (all registers sample concurrently).
+void clock_scalar_reg(const Cell& c, const std::uint64_t* value, std::uint64_t& state) {
+  if (value[c.ins[1].value()] & 1) state = value[c.ins[0].value()];
+}
+
 }  // namespace
 
-Simulator::Simulator(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars)
-    : nl_(nl), pool_(pool), vars_(vars) {
+Simulator::Simulator(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
+                     const std::vector<CellId>* replay_cone)
+    : nl_(nl), pool_(pool), vars_(vars), replay_(replay_cone != nullptr) {
   nl_.validate();
-  order_ = topological_order(nl_);
+  if (replay_) {
+    order_ = cone_order(nl_, *replay_cone);
+    for (NetId n : cone_nets(nl_, *replay_cone)) cone_nets_.push_back(n.value());
+  } else {
+    order_ = topological_order(nl_);
+  }
   value_.assign(nl_.num_nets(), 0);
   prev_.assign(nl_.num_nets(), 0);
   state_.assign(nl_.num_cells(), 0);
@@ -84,18 +159,16 @@ void Simulator::enable_batch_stats(std::uint32_t batch_frames) {
 }
 
 void Simulator::set_cycle_sink(CycleSink* sink) {
+  OPISO_REQUIRE(!replay_ || sink == nullptr, "Simulator: cycle sinks need a full run");
   sink_ = sink;
   if (sink_) sink_toggles_.assign(nl_.num_nets(), 0);
 }
 
-void Simulator::record_stats() {
+template <typename Nets>
+void Simulator::record_net_stats(const Nets& nets) {
   const bool batches = stats_.net_batches.enabled();
-  if (batches) {
-    stats_.net_batches.begin_frame();
-    stats_.probe_batches.begin_frame();
-  }
   if (has_prev_) {
-    for (std::size_t n = 0; n < value_.size(); ++n) {
+    for (const std::size_t n : nets) {
       std::uint64_t diff = value_[n] ^ prev_[n];
       const auto pc = static_cast<std::uint32_t>(std::popcount(diff));
       stats_.toggles[n] += pc;
@@ -111,8 +184,23 @@ void Simulator::record_stats() {
       }
     }
   }
-  for (std::size_t n = 0; n < value_.size(); ++n) {
+  for (const std::size_t n : nets) {
     stats_.ones[n] += value_[n] & 1;
+  }
+}
+
+void Simulator::record_stats() {
+  const bool batches = stats_.net_batches.enabled();
+  if (batches) {
+    stats_.net_batches.begin_frame();
+    stats_.probe_batches.begin_frame();
+  }
+  // Replay mode counts the cone's nets only; the session carries every
+  // other net's counters over from the run the tape was recorded in.
+  if (replay_) {
+    record_net_stats(cone_nets_);
+  } else {
+    record_net_stats(std::views::iota(std::size_t{0}, value_.size()));
   }
   if (sink_) {
     if (!has_prev_) std::fill(sink_toggles_.begin(), sink_toggles_.end(), 0);
@@ -157,7 +245,27 @@ void Simulator::write_vcd_cycle() {
   }
 }
 
+template <typename LoadInputs>
+void Simulator::step(std::uint64_t cycles, LoadInputs&& load_inputs) {
+  for (std::uint64_t i = 0; i < cycles; ++i) {
+    // Every net is rewritten below before it is read (order_ puts
+    // sources first; in replay mode the tape frame covers every net
+    // outside the cone), so last cycle's values are retired into prev_
+    // by swap rather than a copy.
+    if (has_prev_) std::swap(prev_, value_);
+    load_inputs();
+    settle_combinational();
+    if (frame_sink_) frame_sink_->on_frame(cycle_, value_.data(), value_.size());
+    record_stats();
+    if (vcd_) write_vcd_cycle();
+    clock_registers();
+    has_prev_ = true;
+    ++cycle_;
+  }
+}
+
 void Simulator::run(Stimulus& stim, std::uint64_t cycles) {
+  OPISO_REQUIRE(!replay_, "Simulator::run: a replay-mode simulator only replays");
   OPISO_SPAN("sim.run");
   const auto wall_start = std::chrono::steady_clock::now();
   const std::uint64_t toggles_start =
@@ -166,20 +274,12 @@ void Simulator::run(Stimulus& stim, std::uint64_t cycles) {
     write_vcd_header();
     vcd_header_written_ = true;
   }
-  for (std::uint64_t i = 0; i < cycles; ++i) {
+  step(cycles, [&] {
     for (CellId pi : nl_.primary_inputs()) {
       const Cell& c = nl_.cell(pi);
       value_[c.out.value()] = stim.next(nl_, pi, cycle_) & mask_[c.out.value()];
     }
-    settle_combinational();
-    if (frame_sink_) frame_sink_->on_frame(cycle_, value_.data(), value_.size());
-    record_stats();
-    if (vcd_) write_vcd_cycle();
-    clock_registers();
-    prev_ = value_;
-    has_prev_ = true;
-    ++cycle_;
-  }
+  });
   // Flush run totals to the metrics registry (coarse boundary: once per
   // run() call, never per cycle).
   const std::uint64_t run_ns = static_cast<std::uint64_t>(
@@ -197,6 +297,14 @@ void Simulator::run(Stimulus& stim, std::uint64_t cycles) {
     m.gauge("sim.cycles_per_sec").set(static_cast<double>(cycles) * 1e9 /
                                       static_cast<double>(run_ns));
   }
+}
+
+void Simulator::replay(const std::uint64_t* tape, std::size_t frame_words, std::uint64_t cycles) {
+  OPISO_REQUIRE(replay_, "Simulator::replay: not constructed over a replay cone");
+  OPISO_REQUIRE(frame_words <= value_.size(), "Simulator::replay: frame wider than the netlist");
+  step(cycles, [&] {
+    std::memcpy(value_.data(), tape + cycle_ * frame_words, frame_words * sizeof(std::uint64_t));
+  });
 }
 
 void Simulator::reset_stats() { stats_.reset(); }

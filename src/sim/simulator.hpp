@@ -12,9 +12,16 @@
 // This is the "simulation of real-life test vectors" of Sec. 4.1: toggle
 // rates feed the macro power models, probe probabilities feed the
 // Pr(!f ...) terms of the savings model.
+//
+// Constructed over a dirty cone (sim/incremental.hpp) the simulator runs
+// in replay mode: replay() loads each cycle's settled values from a
+// recorded frame tape instead of drawing stimulus, settles and clocks
+// only the cone's cells, and counts toggles/ones/batch windows only on
+// the nets those cells drive. Probes evaluate exactly as in a full run.
 
 #include <cstdint>
 #include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "boolfn/expr.hpp"
@@ -32,8 +39,10 @@ class Simulator : public ProbeHost {
   /// The netlist must outlive the simulator and is validated here.
   /// `pool`/`vars` (both optional, must outlive the simulator when
   /// given) enable Expr probes whose variables are NetVarMap variables.
+  /// A non-null `replay_cone` selects replay mode over those cells.
   explicit Simulator(const Netlist& nl, const ExprPool* pool = nullptr,
-                     const NetVarMap* vars = nullptr);
+                     const NetVarMap* vars = nullptr,
+                     const std::vector<CellId>* replay_cone = nullptr);
 
   /// Register an expression to be evaluated each cycle. Returns the
   /// probe index used with ActivityStats::probe_probability.
@@ -42,6 +51,12 @@ class Simulator : public ProbeHost {
   /// Simulate `cycles` cycles, drawing inputs from `stim`. Statistics
   /// accumulate; state (registers/latches) persists across calls.
   void run(Stimulus& stim, std::uint64_t cycles);
+
+  /// Replay mode only: simulate `cycles` cycles, each loading frame
+  /// `cycle` of `tape` (`frame_words` per-net values, a prefix of this
+  /// netlist's nets) before settling the cone. Not a sim.run: no span,
+  /// no sim.* run metrics (the caller accounts for replays).
+  void replay(const std::uint64_t* tape, std::size_t frame_words, std::uint64_t cycles);
 
   /// Simulate `cycles` cycles and then drop all statistics gathered so
   /// far: flushes the reset transient out of the toggle rates and
@@ -56,7 +71,9 @@ class Simulator : public ProbeHost {
   /// Reset circuit state (registers, latches, previous values) to zero.
   void reset_state();
 
-  [[nodiscard]] const ActivityStats& stats() const { return stats_; }
+  [[nodiscard]] const ActivityStats& stats() const& { return stats_; }
+  /// Moves the statistics out of an engine that is done simulating.
+  [[nodiscard]] ActivityStats stats() && { return std::move(stats_); }
   [[nodiscard]] std::uint64_t net_value(NetId net) const;
   [[nodiscard]] const Netlist& netlist() const { return nl_; }
 
@@ -72,6 +89,7 @@ class Simulator : public ProbeHost {
   /// the sink receives this cycle's per-net bit-toggle counts (zeros on
   /// the first observed cycle) and the settled net values — attach
   /// after warmup so the trace covers exactly what stats() covers.
+  /// Full mode only.
   void set_cycle_sink(CycleSink* sink);
 
   /// Collect per-bit toggle counts (needed by the dual-bit-type power
@@ -85,16 +103,22 @@ class Simulator : public ProbeHost {
   void enable_batch_stats(std::uint32_t batch_frames);
 
  private:
+  template <typename LoadInputs>
+  void step(std::uint64_t cycles, LoadInputs&& load_inputs);
   void settle_combinational();
   void clock_registers();
   void record_stats();
+  template <typename Nets>
+  void record_net_stats(const Nets& nets);
   void write_vcd_header();
   void write_vcd_cycle();
 
   const Netlist& nl_;
   const ExprPool* pool_;
   const NetVarMap* vars_;
-  std::vector<CellId> order_;          ///< topological order
+  std::vector<CellId> order_;          ///< topological order (cone cells in replay mode)
+  bool replay_ = false;                ///< replay mode (see file comment)
+  std::vector<std::uint32_t> cone_nets_;  ///< replay mode: nets whose stats are counted
   std::vector<std::uint64_t> value_;   ///< current value per net
   std::vector<std::uint64_t> prev_;    ///< previous-cycle value per net
   std::vector<std::uint64_t> state_;   ///< per cell: reg/latch held value

@@ -10,7 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/estimator.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace opiso {

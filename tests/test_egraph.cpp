@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "opt/egraph.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 namespace {

@@ -1,7 +1,8 @@
 // Differential tests for dirty-cone incremental re-simulation: after
 // any sequence of isolation transforms, IncrementalSession::measure must
 // produce statistics BITWISE IDENTICAL to a fresh full run of the
-// configured engine — same counters, same probes, same per-cycle trace.
+// configured engine — same counters, same probes, same batch-means
+// windows.
 // The full engine is the oracle, on every bundled design and both
 // engines, including a fixed-seed fuzz loop that toggles random banks
 // between rounds.
@@ -18,7 +19,7 @@
 #include "isolation/candidates.hpp"
 #include "isolation/transform.hpp"
 #include "netlist/traversal.hpp"
-#include "sim/cycle_trace.hpp"
+#include "obs/confidence.hpp"
 #include "sim/incremental.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
@@ -71,47 +72,55 @@ std::vector<ExprRef> make_probes(const Netlist& nl, ExprPool& pool, NetVarMap& v
 /// split the session uses (the measure_activity discipline).
 ActivityStats full_reference(const Netlist& nl, const IncrementalConfig& cfg,
                              std::uint64_t seed, const ExprPool* pool, const NetVarMap* vars,
-                             const std::vector<ExprRef>& probes, CycleSink* sink = nullptr) {
+                             const std::vector<ExprRef>& probes) {
   if (cfg.engine == SimEngineKind::Parallel) {
     ParallelSimulator sim(nl, cfg.lanes, pool, vars);
-    if (cfg.bit_stats) sim.enable_bit_stats();
+    if (cfg.batch_frames != 0) sim.enable_batch_stats(cfg.batch_frames);
     for (ExprRef p : probes) (void)sim.add_probe(p);
     sim.set_stimulus([seed](unsigned lane) {
       return std::make_unique<UniformStimulus>(sweep_lane_seed(seed, lane));
     });
     const std::uint64_t lanes = sim.lanes();
     if (cfg.warmup_cycles > 0) sim.warmup((cfg.warmup_cycles + lanes - 1) / lanes);
-    if (sink != nullptr) sim.set_cycle_sink(sink);
     sim.run(std::max<std::uint64_t>(1, cfg.sim_cycles / lanes));
     return sim.stats();
   }
   Simulator sim(nl, pool, vars);
-  if (cfg.bit_stats) sim.enable_bit_stats();
+  if (cfg.batch_frames != 0) sim.enable_batch_stats(cfg.batch_frames);
   for (ExprRef p : probes) (void)sim.add_probe(p);
   UniformStimulus stim(seed);
   if (cfg.warmup_cycles > 0) sim.warmup(stim, cfg.warmup_cycles);
-  if (sink != nullptr) sim.set_cycle_sink(sink);
   sim.run(stim, cfg.sim_cycles);
   return sim.stats();
+}
+
+/// Every window cell of a batch-means accumulator, the partial last
+/// window included, in (window, series) order.
+std::vector<std::uint64_t> batch_cells(const obs::BatchAccumulator& acc) {
+  std::vector<std::uint64_t> cells;
+  if (!acc.enabled()) return cells;
+  const std::uint64_t windows = (acc.num_frames() + acc.batch_frames() - 1) / acc.batch_frames();
+  for (std::uint64_t w = 0; w < windows; ++w) {
+    for (std::size_t s = 0; s < acc.num_series(); ++s) cells.push_back(acc.cell(w, s));
+  }
+  return cells;
+}
+
+void expect_batches_equal(const obs::BatchAccumulator& got, const obs::BatchAccumulator& want) {
+  EXPECT_EQ(got.batch_frames(), want.batch_frames());
+  EXPECT_EQ(got.num_series(), want.num_series());
+  EXPECT_EQ(got.num_frames(), want.num_frames());
+  EXPECT_EQ(batch_cells(got), batch_cells(want));
 }
 
 void expect_stats_equal(const ActivityStats& got, const ActivityStats& want) {
   EXPECT_EQ(got.cycles, want.cycles);
   EXPECT_EQ(got.toggles, want.toggles);
   EXPECT_EQ(got.ones, want.ones);
-  EXPECT_EQ(got.bit_toggles, want.bit_toggles);
   EXPECT_EQ(got.probe_true, want.probe_true);
   EXPECT_EQ(got.probe_toggles, want.probe_toggles);
-}
-
-void expect_traces_equal(const CycleTrace& got, const CycleTrace& want) {
-  ASSERT_EQ(got.num_samples(), want.num_samples());
-  EXPECT_EQ(got.cycles(), want.cycles());
-  EXPECT_EQ(got.lanes(), want.lanes());
-  EXPECT_EQ(got.net_totals(), want.net_totals());
-  for (std::size_t s = 0; s < got.num_samples(); ++s) {
-    EXPECT_EQ(got.sample_toggles(s), want.sample_toggles(s)) << "sample " << s;
-  }
+  expect_batches_equal(got.net_batches, want.net_batches);
+  expect_batches_equal(got.probe_batches, want.probe_batches);
 }
 
 /// Isolate the first not-yet-isolated legal candidate; returns false if
@@ -150,12 +159,13 @@ const char* kDesigns[] = {"fig1", "design1", "design2", "parametric",
 
 /// The core differential harness: baseline round, then rounds of
 /// committed banks, each replayed round compared against the oracle —
-/// stats, probes, and the per-cycle trace.
+/// counters, probes, and the batch-means windows the replay splices.
 void run_differential(const std::string& design, SimEngineKind engine) {
   SCOPED_TRACE(testing::Message() << "design=" << design << " engine="
                                   << (engine == SimEngineKind::Parallel ? "parallel" : "scalar"));
   Netlist nl = make_named_design(design);
-  const IncrementalConfig cfg = make_cfg(engine);
+  IncrementalConfig cfg = make_cfg(engine);
+  cfg.batch_frames = 16;
   IncrementalSession session(scalar_factory(1), lane_factory(1), cfg);
 
   const IsolationStyle styles[] = {IsolationStyle::And, IsolationStyle::Or,
@@ -164,19 +174,13 @@ void run_differential(const std::string& design, SimEngineKind engine) {
     ExprPool pool;
     NetVarMap vars;
     const std::vector<ExprRef> probes = make_probes(nl, pool, vars);
-    CycleTrace inc_trace(1), full_trace(1);
-    const ActivityStats got = session.measure(
-        nl, &pool, &vars,
-        [&probes](ProbeHost& sim) {
-          for (ExprRef p : probes) (void)sim.add_probe(p);
-        },
-        &inc_trace);
-    inc_trace.finish();
-    const ActivityStats want = full_reference(nl, cfg, 1, &pool, &vars, probes, &full_trace);
-    full_trace.finish();
+    const ActivityStats got = session.measure(nl, &pool, &vars, [&probes](ProbeHost& sim) {
+      for (ExprRef p : probes) (void)sim.add_probe(p);
+    });
+    const ActivityStats want = full_reference(nl, cfg, 1, &pool, &vars, probes);
     SCOPED_TRACE(testing::Message() << "round=" << round);
+    ASSERT_TRUE(want.net_batches.enabled());
     expect_stats_equal(got, want);
-    expect_traces_equal(inc_trace, full_trace);
     if (!isolate_one(nl, styles[round % 3])) break;
   }
   EXPECT_EQ(session.full_runs(), 1u);  // only round 0 ran the engine in full
@@ -189,23 +193,6 @@ TEST(Incremental, MatchesFullScalarOnAllDesigns) {
 
 TEST(Incremental, MatchesFullParallelOnAllDesigns) {
   for (const char* d : kDesigns) run_differential(d, SimEngineKind::Parallel);
-}
-
-TEST(Incremental, MatchesFullWithBitStats) {
-  for (SimEngineKind engine : {SimEngineKind::Scalar, SimEngineKind::Parallel}) {
-    Netlist nl = make_design1();
-    IncrementalConfig cfg = make_cfg(engine, 256);
-    cfg.bit_stats = true;
-    IncrementalSession session(scalar_factory(7), lane_factory(7), cfg);
-    for (int round = 0; round < 3; ++round) {
-      const ActivityStats got = session.measure(nl, nullptr, nullptr);
-      const ActivityStats want = full_reference(nl, cfg, 7, nullptr, nullptr, {});
-      SCOPED_TRACE(testing::Message() << "engine=" << static_cast<int>(engine)
-                                      << " round=" << round);
-      expect_stats_equal(got, want);
-      if (!isolate_one(nl, IsolationStyle::And)) break;
-    }
-  }
 }
 
 TEST(Incremental, OddLaneCountAndCycleSplit) {
@@ -306,8 +293,8 @@ TEST(Incremental, VerifyStimulusAcceptsRoundInvariantFactory) {
 
 TEST(Incremental, VerifyStimulusDetectsNonInvariantFactory) {
   // A factory that yields a different stream every call violates the
-  // session contract; verify_stimulus must catch it during replay and
-  // fall back to a (correct) full measurement permanently.
+  // session contract; verify_stimulus must catch it before the replay
+  // and fall back to a (correct) full measurement permanently.
   Netlist nl = make_design1();
   IncrementalConfig cfg = make_cfg(SimEngineKind::Scalar, 256);
   cfg.verify_stimulus = true;
@@ -319,7 +306,7 @@ TEST(Incremental, VerifyStimulusDetectsNonInvariantFactory) {
   const ActivityStats got = session.measure(nl, nullptr, nullptr);
   EXPECT_FALSE(session.incremental_available());
   // The fallback round itself is a plain full run under seed 3 (the
-  // replay consumed seed 2 before detecting the mismatch).
+  // check consumed seed 2 to detect the mismatch).
   expect_stats_equal(got, full_reference(nl, cfg, 3, nullptr, nullptr, {}));
 }
 

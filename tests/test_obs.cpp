@@ -16,7 +16,7 @@
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
 #include "sim/sweep.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 namespace {
