@@ -43,10 +43,10 @@ opiso_add_bench(bench_rewrite opiso_frontend opiso_opt)
 target_compile_definitions(bench_rewrite PRIVATE
     OPISO_RTL_DIR="${CMAKE_SOURCE_DIR}/designs_rtl")
 
-# Bench smoke: the two table benches run in well under a second, so CI
-# (and any local `ctest -L bench-smoke`) regenerates BENCH_table{1,2}.json
-# and gates the reproduced savings against the committed expected
-# subsets via `opiso report diff` (tolerances in ci/bench_tolerances.json).
+# Bench smoke: the two table benches run in well under a second, so
+# every ctest run regenerates BENCH_table{1,2}.json and gates the
+# reproduced savings against the committed expected subsets via `opiso
+# report diff` (tolerances in ci/bench_tolerances.json).
 add_test(NAME bench_table_tolerances
          COMMAND sh -c "mkdir -p ${CMAKE_BINARY_DIR}/bench_json && \
 OPISO_BENCH_JSON_DIR=${CMAKE_BINARY_DIR}/bench_json $<TARGET_FILE:bench_table1> && \
@@ -58,6 +58,24 @@ $<TARGET_FILE:opiso_cli> report diff ${CMAKE_SOURCE_DIR}/ci/golden/BENCH_table2.
 ${CMAKE_BINARY_DIR}/bench_json/BENCH_table2.json \
 --tolerances ${CMAKE_SOURCE_DIR}/ci/bench_tolerances.json --subset")
 set_tests_properties(bench_table_tolerances PROPERTIES TIMEOUT 300 LABELS bench-smoke)
+
+# Every other bench binary must run to completion: a crash or nonzero
+# exit fails its smoke test. bench_confidence also publishes
+# BENCH_confidence.json, which must parse (`report diff f f` exits 0
+# only when f parses). bench_sweep and bench_rewrite run under the
+# structural gates below; bench_scaling is a google-benchmark timing
+# run that the perf-trajectory CI job publishes.
+foreach(b bench_activation_sweep bench_ablation bench_model_accuracy bench_baselines
+          bench_power_models)
+  add_test(NAME ${b}_smoke COMMAND ${b})
+  set_tests_properties(${b}_smoke PROPERTIES TIMEOUT 300 LABELS bench-smoke)
+endforeach()
+add_test(NAME bench_confidence_smoke
+         COMMAND sh -c "mkdir -p ${CMAKE_BINARY_DIR}/bench_json && \
+OPISO_BENCH_JSON_DIR=${CMAKE_BINARY_DIR}/bench_json $<TARGET_FILE:bench_confidence> && \
+$<TARGET_FILE:opiso_cli> report diff ${CMAKE_BINARY_DIR}/bench_json/BENCH_confidence.json \
+${CMAKE_BINARY_DIR}/bench_json/BENCH_confidence.json")
+set_tests_properties(bench_confidence_smoke PROPERTIES TIMEOUT 300 LABELS bench-smoke)
 
 # Perf-trajectory artifact shape: regenerate BENCH_sweep.json and hold
 # its structure (schema, bench set, deterministic lane_cycles work

@@ -119,4 +119,41 @@ inline constexpr int kNumCellKinds = static_cast<int>(CellKind::IsoLatch) + 1;
 /// messages: e.g. Mux2 -> {"S","A","B"}, Reg -> {"D","EN"}.
 [[nodiscard]] std::string_view cell_port_name(CellKind kind, int port);
 
+/// Bit mask of the low `width` bits (all ones from 64 up).
+[[nodiscard]] constexpr std::uint64_t width_mask(unsigned width) {
+  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+}
+
+/// Word-level semantics of one combinational operator — the single
+/// definition the scalar simulator, the constant folder and the rewriter
+/// all evaluate with. `in(p)` yields input port p's word, already masked
+/// to its net's width; `param` is the shift amount for Shl/Shr. The
+/// result is unmasked (callers mask to the output width). Boundary,
+/// constant and state-holding kinds have no pure word function: the
+/// simulator handles them itself, and here they throw.
+template <class In>
+[[nodiscard]] inline std::uint64_t eval_comb_cell(CellKind kind, std::uint64_t param, In&& in) {
+  switch (kind) {
+    case CellKind::Add: return in(0) + in(1);
+    case CellKind::Sub: return in(0) - in(1);
+    case CellKind::Mul: return in(0) * in(1);
+    case CellKind::Eq: return in(0) == in(1) ? 1 : 0;
+    case CellKind::Lt: return in(0) < in(1) ? 1 : 0;
+    case CellKind::Shl: return param >= 64 ? 0 : in(0) << param;
+    case CellKind::Shr: return param >= 64 ? 0 : in(0) >> param;
+    case CellKind::Not: return ~in(0);
+    case CellKind::Buf: return in(0);
+    case CellKind::And: return in(0) & in(1);
+    case CellKind::Or: return in(0) | in(1);
+    case CellKind::Xor: return in(0) ^ in(1);
+    case CellKind::Nand: return ~(in(0) & in(1));
+    case CellKind::Nor: return ~(in(0) | in(1));
+    case CellKind::Xnor: return ~(in(0) ^ in(1));
+    case CellKind::Mux2: return (in(0) & 1) ? in(2) : in(1);
+    case CellKind::IsoAnd: return (in(1) & 1) ? in(0) : 0;
+    case CellKind::IsoOr: return (in(1) & 1) ? in(0) : ~std::uint64_t{0};
+    default: throw Error("eval_comb_cell: not a combinational operator");
+  }
+}
+
 }  // namespace opiso

@@ -186,7 +186,7 @@ CellId Netlist::add_output(const std::string& name, NetId src) {
 
 NetId Netlist::add_const(const std::string& name, std::uint64_t value, unsigned width) {
   OPISO_REQUIRE(width >= 1 && width <= 64, "constant width must be in [1,64]");
-  const std::uint64_t mask = width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+  const std::uint64_t mask = width_mask(width);
   OPISO_REQUIRE((value & ~mask) == 0, "constant value does not fit its width");
   NetId out = add_net(name, width);
   add_cell(CellKind::Constant, "const:" + name, {}, out, value);

@@ -1,10 +1,10 @@
 #include "obs/confidence.hpp"
 
-// This translation unit is compiled with -ffp-contract=off (see
-// src/obs/CMakeLists.txt): all confidence arithmetic must be the same
-// IEEE operation sequence on every build of the same source, so the
-// determinism CI leg can diff confidence sections bitwise across
-// engines, thread counts, plane widths, and incremental replay.
+// Library code is compiled with -ffp-contract=off (see
+// src/CMakeLists.txt): all confidence arithmetic must be the same IEEE
+// operation sequence on every build of the same source, so the
+// cli_sweep_deterministic ctest can diff confidence sections bitwise
+// across engines, thread counts, -march builds, and incremental replay.
 
 #include <algorithm>
 #include <cmath>

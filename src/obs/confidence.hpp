@@ -11,9 +11,10 @@
 // bit-parallel plane engine, by an incremental dirty-cone replay, or
 // split across any number of sweep worker threads. All floating-point
 // derivation (means, variances, Student-t half-widths) happens at
-// report time, in this translation unit, which is compiled with
-// -ffp-contract=off so the arithmetic is the same IEEE sequence on
-// every build of the same source.
+// report time, in this translation unit, which (like all library code,
+// see src/CMakeLists.txt) is compiled with -ffp-contract=off so the
+// arithmetic is the same IEEE sequence on every build of the same
+// source.
 //
 // Batch definition: a *window* is `batch_frames` consecutive stimulus
 // frames; one cell accumulates the total event count (bit toggles, or

@@ -1,7 +1,8 @@
 #include "obs/coverage.hpp"
 
-// Compiled with -ffp-contract=off alongside confidence.cpp: the few
-// derived percentages here must match bitwise across builds too.
+// Compiled with -ffp-contract=off like all library code (see
+// src/CMakeLists.txt): the few derived percentages here must match
+// bitwise across builds too.
 
 namespace opiso::obs {
 

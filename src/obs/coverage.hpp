@@ -11,7 +11,7 @@
 // always) true over the run means the idle/active regime the savings
 // model reasons about was simply not visited by the stimulus. Both are
 // exact integer counts, so the section is bitwise identical across
-// engines/threads/plane widths whenever the underlying counters are.
+// engines/threads/-march builds whenever the underlying counters are.
 //
 // Inputs are layer-agnostic plain vectors (obs sits below the netlist
 // layer); sim provides the Netlist/ActivityStats adapter.

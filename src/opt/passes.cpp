@@ -9,38 +9,6 @@ namespace opiso {
 
 namespace {
 
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
-
-/// Pure word-level semantics of a combinational cell (mirrors the
-/// simulator's evaluation; constants only).
-std::uint64_t eval_cell(const Cell& c, unsigned out_width, const std::vector<std::uint64_t>& in) {
-  std::uint64_t out = 0;
-  switch (c.kind) {
-    case CellKind::Add: out = in[0] + in[1]; break;
-    case CellKind::Sub: out = in[0] - in[1]; break;
-    case CellKind::Mul: out = in[0] * in[1]; break;
-    case CellKind::Eq: out = in[0] == in[1]; break;
-    case CellKind::Lt: out = in[0] < in[1]; break;
-    case CellKind::Shl: out = c.param >= 64 ? 0 : in[0] << c.param; break;
-    case CellKind::Shr: out = c.param >= 64 ? 0 : in[0] >> c.param; break;
-    case CellKind::Not: out = ~in[0]; break;
-    case CellKind::Buf: out = in[0]; break;
-    case CellKind::And: out = in[0] & in[1]; break;
-    case CellKind::Or: out = in[0] | in[1]; break;
-    case CellKind::Xor: out = in[0] ^ in[1]; break;
-    case CellKind::Nand: out = ~(in[0] & in[1]); break;
-    case CellKind::Nor: out = ~(in[0] | in[1]); break;
-    case CellKind::Xnor: out = ~(in[0] ^ in[1]); break;
-    case CellKind::Mux2: out = (in[0] & 1) ? in[2] : in[1]; break;
-    case CellKind::IsoAnd: out = (in[1] & 1) ? in[0] : 0; break;
-    case CellKind::IsoOr: out = (in[1] & 1) ? in[0] : ~std::uint64_t{0}; break;
-    default: throw Error("eval_cell: not a foldable kind");
-  }
-  return out & width_mask(out_width);
-}
-
 bool is_foldable(CellKind kind) {
   switch (kind) {
     case CellKind::Reg:
@@ -292,8 +260,9 @@ Netlist optimize(const Netlist& nl, const OptimizeOptions& opt, OptimizeStats* s
             vals.push_back(*v);
           }
           if (all_const) {
-            rb.net_map[c.out.value()] =
-                rb.make_const(eval_cell(c, c.width, vals), c.width, nl.net(c.out).name);
+            auto in = [&](int p) { return vals[static_cast<std::size_t>(p)]; };
+            const std::uint64_t folded = eval_comb_cell(c.kind, c.param, in) & width_mask(c.width);
+            rb.net_map[c.out.value()] = rb.make_const(folded, c.width, nl.net(c.out).name);
             ++stats.folded_constants;
             break;
           }

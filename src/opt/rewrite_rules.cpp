@@ -19,10 +19,6 @@
 namespace opiso {
 namespace {
 
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
-
 /// Sequential/boundary cells whose outputs the rewriter treats as
 /// opaque leaves: the e-graph never looks through state.
 bool is_leaf_kind(CellKind kind) {
@@ -33,35 +29,12 @@ bool is_op_kind(CellKind kind) {
   return !is_leaf_kind(kind) && kind != CellKind::Constant && kind != CellKind::PrimaryOutput;
 }
 
-/// Word-level evaluation of one operator — identical semantics to the
-/// simulator's eval_scalar_cell and the optimizer's constant folder:
-/// inputs are masked to their own widths already, the result is masked
-/// to the node's width.
+/// Word-level evaluation of one operator node; the result is masked to
+/// the node's width.
 std::uint64_t eval_node(CellKind kind, std::uint64_t param, unsigned out_width,
                         const std::vector<std::uint64_t>& in) {
-  std::uint64_t out = 0;
-  switch (kind) {
-    case CellKind::Add: out = in[0] + in[1]; break;
-    case CellKind::Sub: out = in[0] - in[1]; break;
-    case CellKind::Mul: out = in[0] * in[1]; break;
-    case CellKind::Eq: out = in[0] == in[1]; break;
-    case CellKind::Lt: out = in[0] < in[1]; break;
-    case CellKind::Shl: out = param >= 64 ? 0 : in[0] << param; break;
-    case CellKind::Shr: out = param >= 64 ? 0 : in[0] >> param; break;
-    case CellKind::Not: out = ~in[0]; break;
-    case CellKind::Buf: out = in[0]; break;
-    case CellKind::And: out = in[0] & in[1]; break;
-    case CellKind::Or: out = in[0] | in[1]; break;
-    case CellKind::Xor: out = in[0] ^ in[1]; break;
-    case CellKind::Nand: out = ~(in[0] & in[1]); break;
-    case CellKind::Nor: out = ~(in[0] | in[1]); break;
-    case CellKind::Xnor: out = ~(in[0] ^ in[1]); break;
-    case CellKind::Mux2: out = (in[0] & 1) ? in[2] : in[1]; break;
-    case CellKind::IsoAnd: out = (in[1] & 1) ? in[0] : 0; break;
-    case CellKind::IsoOr: out = (in[1] & 1) ? in[0] : ~std::uint64_t{0}; break;
-    default: throw NetlistError("rewrite: eval_node on non-operator kind");
-  }
-  return out & width_mask(out_width);
+  auto port = [&](int p) { return in[static_cast<std::size_t>(p)]; };
+  return eval_comb_cell(kind, param, port) & width_mask(out_width);
 }
 
 // ---------------------------------------------------------------------

@@ -168,8 +168,7 @@ bool IncrementalSession::stimulus_matches_tape() const {
     for (CellId pi : nl.primary_inputs()) {
       const NetId out = nl.cell(pi).out;
       const unsigned width = nl.net(out).width;
-      const std::uint64_t mask =
-          width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+      const std::uint64_t mask = width_mask(width);
       if ((stim->next(nl, pi, f) & mask) != tape_[f * frame_words_ + out.value()]) return false;
     }
   }

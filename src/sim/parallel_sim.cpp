@@ -121,7 +121,7 @@ void ParallelSimulator::set_stimulus(const LaneStimulusFactory& make) {
     pi_masks_.clear();
     for (CellId pi : nl_.primary_inputs()) {
       const unsigned w = nl_.cell(pi).width;
-      pi_masks_.push_back(w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1));
+      pi_masks_.push_back(width_mask(w));
     }
     uniform_buf_.assign(pi_masks_.size() * lanes_padded_, 0);
   } else {
@@ -245,8 +245,7 @@ void ParallelSimulator::drive_inputs() {
     if (uniform_fast_) {
       lane_words = uniform_buf_.data() + pi_index * lanes_padded_;
     } else {
-      const std::uint64_t wmask =
-          width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+      const std::uint64_t wmask = width_mask(width);
       for (unsigned l = 0; l < lanes_; ++l) {
         tmp[l] = lane_stims_[l]->next(nl_, pi, cycle_) & wmask;
       }

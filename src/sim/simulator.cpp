@@ -17,10 +17,6 @@ namespace opiso {
 
 namespace {
 
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
-
 /// Evaluate one cell on the settled `value` array. `state` is the
 /// cell's held word — read for Reg outputs, updated level-sensitively
 /// for Latch/IsoLatch. Returns the unmasked output word.
@@ -34,51 +30,14 @@ std::uint64_t eval_scalar_cell(const Cell& c, const std::uint64_t* value, std::u
       return c.param;
     case CellKind::Reg:
       return state;
-    case CellKind::Add:
-      return in(0) + in(1);
-    case CellKind::Sub:
-      return in(0) - in(1);
-    case CellKind::Mul:
-      return in(0) * in(1);
-    case CellKind::Eq:
-      return in(0) == in(1) ? 1 : 0;
-    case CellKind::Lt:
-      return in(0) < in(1) ? 1 : 0;
-    case CellKind::Shl:
-      return c.param >= 64 ? 0 : in(0) << c.param;
-    case CellKind::Shr:
-      return c.param >= 64 ? 0 : in(0) >> c.param;
-    case CellKind::Not:
-      return ~in(0);
-    case CellKind::Buf:
-      return in(0);
-    case CellKind::And:
-      return in(0) & in(1);
-    case CellKind::Or:
-      return in(0) | in(1);
-    case CellKind::Xor:
-      return in(0) ^ in(1);
-    case CellKind::Nand:
-      return ~(in(0) & in(1));
-    case CellKind::Nor:
-      return ~(in(0) | in(1));
-    case CellKind::Xnor:
-      return ~(in(0) ^ in(1));
-    case CellKind::Mux2:
-      return (in(0) & 1) ? in(2) : in(1);
     case CellKind::Latch:
-      // Transparent while EN = 1; holds otherwise (level-sensitive).
-      if (in(1) & 1) state = in(0);
-      return state;
-    case CellKind::IsoAnd:
-      return (in(1) & 1) ? in(0) : 0;
-    case CellKind::IsoOr:
-      return (in(1) & 1) ? in(0) : ~std::uint64_t{0};
     case CellKind::IsoLatch:
+      // Transparent while EN/AS = 1; holds otherwise (level-sensitive).
       if (in(1) & 1) state = in(0);
       return state;
+    default:
+      return eval_comb_cell(c.kind, c.param, in);
   }
-  return 0;
 }
 
 /// The clock edge for one register: state <- D when EN bit 0 is set,

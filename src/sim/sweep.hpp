@@ -54,7 +54,7 @@ struct SweepTask {
   /// Batch-means confidence collection (obs/confidence.hpp). When
   /// enabled the task's report row gains opiso.confidence/v1 and
   /// opiso.coverage/v1 sections — bitwise identical across engines,
-  /// --threads values, and plane widths, because the accumulated window
+  /// --threads values, and -march builds, because the accumulated window
   /// moments are exact integers. A min_power_ci_halfwidth_mw >= 0 gate
   /// *fails* an under-converged task (confidence.under-converged in
   /// opiso.task_failures/v1) instead of silently extending it. In

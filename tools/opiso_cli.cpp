@@ -142,9 +142,8 @@ using namespace opiso;
       "  sweep      <design...>               multithreaded simulation sweep:\n"
       "      --seeds N              stimulus seeds per design (default: 4)\n"
       "      --cycles N             total cycles per task, split across lanes\n"
-      "      --lanes N              bit-parallel lanes, up to the compiled\n"
-      "                             plane width (256, or 512 with AVX-512);\n"
-      "                             default: the full width\n"
+      "      --lanes N              bit-parallel lanes, up to the plane\n"
+      "                             width of 256 (default: 256)\n"
       "      --threads N            worker threads, 0 = hardware (default: 0)\n"
       "      --sim scalar|parallel  simulation engine (default: parallel)\n"
       "      --warmup N             per-lane warmup cycles (default: 0)\n"
@@ -164,7 +163,7 @@ using namespace opiso;
       "                             collect batch-means confidence per task:\n"
       "                             rows gain opiso.confidence/v1 and\n"
       "                             opiso.coverage/v1 sections (bitwise identical\n"
-      "                             across --threads, --sim, and plane widths);\n"
+      "                             across --threads, --sim, and -march builds);\n"
       "                             an under-converged task fails with\n"
       "                             confidence.under-converged in the\n"
       "                             opiso.task_failures/v1 section (exit 3)\n"
@@ -264,8 +263,8 @@ struct Args {
   bool sim_engine_set = false;
   std::uint64_t seeds = 4;
   // 0 = auto: sweep widens to ParallelSimulator::kMaxLanes (throughput);
-  // isolate/power/wave keep the 64-lane measurement discipline so run
-  // reports and golden files are invariant to the compiled plane width.
+  // isolate/power/wave keep the 64-lane measurement discipline that the
+  // run reports and golden files were recorded with.
   unsigned lanes = 0;
   unsigned threads = 0;
   std::uint64_t warmup = 0;
