@@ -1,7 +1,10 @@
 #include "isolation/muxfn.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <queue>
+#include <utility>
 
 #include "netlist/traversal.hpp"
 
@@ -37,28 +40,37 @@ ExprRef edge_condition(const Netlist& nl, ExprPool& pool, NetVarMap& vars, const
 
 }  // namespace
 
-FaninNetwork derive_fanin_network(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
+SteeringIndex::SteeringIndex(const Netlist& nl)
+    : nl_(nl),
+      pos_(nl.num_cells(), 0),
+      cond_(nl.num_nets(), ExprRef::invalid()),
+      net_seen_(nl.num_nets(), 0),
+      cell_queued_(nl.num_cells(), 0) {
+  const std::vector<CellId> order = topological_order(nl);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    pos_[order[i].value()] = static_cast<std::uint32_t>(i);
+  }
+}
+
+FaninNetwork derive_fanin_network(SteeringIndex& index, ExprPool& pool, NetVarMap& vars,
                                   CellId cell, int port,
                                   const CandidatePredicate& is_candidate) {
+  const Netlist& nl = index.nl_;
+  std::vector<ExprRef>& cond = index.cond_;
+  std::vector<char>& seen = index.net_seen_;
   FaninNetwork fn;
   const NetId pin_net = nl.cell(cell).ins.at(static_cast<size_t>(port));
 
   // cond[n] = condition under which a toggle on net n propagates to the
   // pin through the steering network (invalid = unreached).
-  std::vector<ExprRef> cond(nl.num_nets(), ExprRef::invalid());
   cond[pin_net.value()] = pool.const1();
-
-  // Position of each cell in topological order, to process the fanin
-  // cone strictly from the pin backwards.
-  const std::vector<CellId> order = topological_order(nl);
-  std::vector<std::size_t> pos(nl.num_cells(), 0);
-  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i].value()] = i;
 
   // Collect the cone of nets that can reach the pin (stop at candidates
   // and structural sources), then process drivers in reverse topo order.
+  // Every net cond is set on lies in the cone, so the cone is also the
+  // list of scratch entries to reset.
   std::vector<NetId> cone{pin_net};
-  std::vector<bool> seen(nl.num_nets(), false);
-  seen[pin_net.value()] = true;
+  seen[pin_net.value()] = 1;
   for (std::size_t i = 0; i < cone.size(); ++i) {
     const CellId drv = nl.net(cone[i]).driver;
     const Cell& d = nl.cell(drv);
@@ -67,13 +79,15 @@ FaninNetwork derive_fanin_network(const Netlist& nl, ExprPool& pool, NetVarMap& 
       if (!edge_condition(nl, pool, vars, d, p).valid()) continue;
       NetId in = d.ins[static_cast<size_t>(p)];
       if (!seen[in.value()]) {
-        seen[in.value()] = true;
+        seen[in.value()] = 1;
         cone.push_back(in);
       }
     }
   }
+  index.cells_visited_ += cone.size();
+  // Distinct nets have distinct drivers, so the order is total.
   std::sort(cone.begin(), cone.end(), [&](NetId a, NetId b) {
-    return pos[nl.net(a).driver.value()] > pos[nl.net(b).driver.value()];
+    return index.pos_[nl.net(a).driver.value()] > index.pos_[nl.net(b).driver.value()];
   });
 
   std::map<CellId, ExprRef> found;
@@ -98,25 +112,51 @@ FaninNetwork derive_fanin_network(const Netlist& nl, ExprPool& pool, NetVarMap& 
       cond[in.value()] = cond[in.value()].valid() ? pool.lor(cond[in.value()], path) : path;
     }
   }
+  for (NetId n : cone) {
+    cond[n.value()] = ExprRef::invalid();
+    seen[n.value()] = 0;
+  }
   for (const auto& [cand, g] : found) fn.candidates.push_back(ConnectedCandidate{cand, g});
   return fn;
 }
 
-std::vector<FanoutConnection> derive_fanout_candidates(const Netlist& nl, ExprPool& pool,
+std::vector<FanoutConnection> derive_fanout_candidates(SteeringIndex& index, ExprPool& pool,
                                                        NetVarMap& vars, CellId cell,
                                                        const CandidatePredicate& is_candidate) {
+  const Netlist& nl = index.nl_;
+  std::vector<ExprRef>& cond = index.cond_;
+  std::vector<char>& queued = index.cell_queued_;
   std::vector<FanoutConnection> result;
   const Cell& c = nl.cell(cell);
   OPISO_REQUIRE(c.out.valid(), "derive_fanout_candidates: cell has no output");
 
-  const std::vector<CellId> order = topological_order(nl);
-  std::vector<ExprRef> cond(nl.num_nets(), ExprRef::invalid());
-  cond[c.out.value()] = pool.const1();
+  // Forward frontier from c.out, popped in topological order: a cell is
+  // only popped once every net it reads has its final condition, and
+  // the cells popped are exactly those a full topological sweep would
+  // act on (readers of a reached net), in the same order — so the pool
+  // and variable map see the same calls either way.
+  using Entry = std::pair<std::uint32_t, CellId>;  // (topological position, cell)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
+  std::vector<NetId> reached_nets;
+  std::vector<CellId> queued_cells;
+  const auto reach = [&](NetId net, ExprRef condition) {
+    cond[net.value()] = condition;
+    reached_nets.push_back(net);
+    for (const Pin& pin : nl.net(net).fanouts) {
+      const CellKind kind = nl.cell(pin.cell).kind;
+      if (is_structural_source(kind) || kind == CellKind::PrimaryOutput) continue;
+      if (pin.cell == cell || queued[pin.cell.value()]) continue;
+      queued[pin.cell.value()] = 1;
+      queued_cells.push_back(pin.cell);
+      frontier.emplace(index.pos_[pin.cell.value()], pin.cell);
+    }
+  };
+  reach(c.out, pool.const1());
 
-  for (CellId id : order) {
+  while (!frontier.empty()) {
+    const CellId id = frontier.top().second;
+    frontier.pop();
     const Cell& y = nl.cell(id);
-    if (is_structural_source(y.kind) || y.kind == CellKind::PrimaryOutput) continue;
-    if (id == cell) continue;
     // Gather conditions arriving at y's inputs; candidates terminate
     // paths, everything else composes into y's output condition.
     ExprRef out_cond = ExprRef::invalid();
@@ -132,11 +172,12 @@ std::vector<FanoutConnection> derive_fanout_candidates(const Netlist& nl, ExprPo
       ExprRef path = pool.land(cond[in.value()], edge);
       out_cond = out_cond.valid() ? pool.lor(out_cond, path) : path;
     }
-    if (out_cond.valid() && y.out.valid()) {
-      cond[y.out.value()] =
-          cond[y.out.value()].valid() ? pool.lor(cond[y.out.value()], out_cond) : out_cond;
-    }
+    // y is y.out's only driver and is popped once, so the net is unset.
+    if (out_cond.valid() && y.out.valid()) reach(y.out, out_cond);
   }
+  index.cells_visited_ += queued_cells.size();
+  for (NetId n : reached_nets) cond[n.value()] = ExprRef::invalid();
+  for (CellId id : queued_cells) queued[id.value()] = 0;
   return result;
 }
 

@@ -2,15 +2,24 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+
 namespace opiso {
 
 SavingsEstimator::SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
                                    const std::vector<IsolationCandidate>& candidates,
                                    const MacroPowerModel& power)
-    : nl_(nl), pool_(pool), vars_(vars), cands_(candidates), power_(power) {
-  std::vector<bool> is_cand(nl.num_cells(), false);
-  for (const IsolationCandidate& c : cands_) is_cand[c.cell.value()] = true;
-  const CandidatePredicate pred = [&is_cand](CellId id) { return is_cand[id.value()]; };
+    : nl_(nl),
+      pool_(pool),
+      vars_(vars),
+      cands_(candidates),
+      power_(power),
+      cand_index_(nl.num_cells(), kNotCandidate) {
+  for (std::size_t i = 0; i < cands_.size(); ++i) cand_index_[cands_[i].cell.value()] = i;
+  const CandidatePredicate pred = [this](CellId id) {
+    return cand_index_[id.value()] != kNotCandidate;
+  };
+  SteeringIndex steering(nl_);
 
   models_.resize(cands_.size());
   for (std::size_t i = 0; i < cands_.size(); ++i) {
@@ -21,7 +30,8 @@ SavingsEstimator::SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap&
     m.port_events.resize(cell.ins.size());
     for (int p = 0; p < static_cast<int>(cell.ins.size()); ++p) {
       auto& events = m.port_events[static_cast<size_t>(p)];
-      const FaninNetwork fan = derive_fanin_network(nl_, pool_, vars_, cands_[i].cell, p, pred);
+      const FaninNetwork fan =
+          derive_fanin_network(steering, pool_, vars_, cands_[i].cell, p, pred);
       ExprRef any_candidate = pool_.const0();
       for (const ConnectedCandidate& cc : fan.candidates) {
         const std::size_t k = index_of(cc.candidate);
@@ -51,21 +61,26 @@ SavingsEstimator::SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap&
 
     // --- fanout terms (secondary model)
     for (const FanoutConnection& fc :
-         derive_fanout_candidates(nl_, pool_, vars_, cands_[i].cell, pred)) {
+         derive_fanout_candidates(steering, pool_, vars_, cands_[i].cell, pred)) {
       FanoutTerm term;
       term.j = index_of(fc.candidate);
       term.port = fc.port;
       term.g = fc.condition;
       m.fanouts.push_back(term);
     }
+
+    m.activation_support = pool_.support(cands_[i].activation);
   }
+  obs::metrics()
+      .counter("isolate.steering_cells_visited")
+      .add(static_cast<std::uint64_t>(steering.cells_visited()));
 }
 
 std::size_t SavingsEstimator::index_of(CellId cell) const {
-  for (std::size_t i = 0; i < cands_.size(); ++i) {
-    if (cands_[i].cell == cell) return i;
-  }
-  throw Error("SavingsEstimator: cell is not a candidate");
+  const std::size_t i =
+      cell.value() < cand_index_.size() ? cand_index_[cell.value()] : kNotCandidate;
+  if (i == kNotCandidate) throw Error("SavingsEstimator: cell is not a candidate");
+  return i;
 }
 
 void SavingsEstimator::register_probes(ProbeHost& sim) {
@@ -290,7 +305,7 @@ double SavingsEstimator::overhead_mw(std::size_t i, const ActivityStats& stats,
   // Activation logic: factored-form gates switching at roughly the
   // average rate of the control signals they combine.
   const ExprRef f = cands_[i].activation;
-  const std::vector<BoolVar> sup = pool_.support(f);
+  const std::vector<BoolVar>& sup = models_[i].activation_support;
   double avg_rate = tr_as;
   if (!sup.empty()) {
     double sum = 0.0;

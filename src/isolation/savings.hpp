@@ -73,8 +73,11 @@ struct SavingsTerm {
 
 class SavingsEstimator {
  public:
-  /// Derives fanin/fanout networks for all candidates. Every reference
-  /// must outlive the estimator.
+  /// Derives fanin/fanout networks for all candidates through one
+  /// SteeringIndex, so construction costs the sum of the candidates'
+  /// steering cones, and adds the cells those walks visited to the
+  /// isolate.steering_cells_visited counter. Every reference must
+  /// outlive the estimator.
   SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
                    const std::vector<IsolationCandidate>& candidates,
                    const MacroPowerModel& power);
@@ -112,6 +115,10 @@ class SavingsEstimator {
 
   [[nodiscard]] std::size_t num_candidates() const { return cands_.size(); }
 
+  /// Index of `cell` in the candidate list. Throws Error if the cell is
+  /// not a candidate.
+  [[nodiscard]] std::size_t index_of(CellId cell) const;
+
   /// Probe index of Pr[f_i] (valid after register_probes). The
   /// confidence/coverage layers read this candidate's activation-signal
   /// exercise counts and batch moments through it.
@@ -146,6 +153,7 @@ class SavingsEstimator {
     std::vector<PairProbe> pair_probes;               ///< refined primary
     std::vector<FanoutTerm> fanouts;                  ///< secondary
     std::size_t probe_f = 0;                          ///< Pr(f_i)
+    std::vector<BoolVar> activation_support;          ///< control nets f_i taps
   };
 
   struct SourceRate {
@@ -155,13 +163,14 @@ class SavingsEstimator {
   [[nodiscard]] SourceRate source_rate(const PortEvent& ev, const ActivityStats& stats,
                                        NetId pin_net) const;
   [[nodiscard]] std::string source_name(const PortEvent& ev) const;
-  [[nodiscard]] std::size_t index_of(CellId cell) const;
 
   const Netlist& nl_;
   ExprPool& pool_;
   NetVarMap& vars_;
   std::vector<IsolationCandidate> cands_;
   MacroPowerModel power_;
+  static constexpr std::size_t kNotCandidate = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> cand_index_;  ///< cell -> candidate index, or kNotCandidate
   std::vector<CandidateModel> models_;
   bool probes_registered_ = false;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <unordered_set>
 
 namespace opiso {
 
@@ -272,10 +273,27 @@ std::vector<CellId> combinational_fanin_cone(const Netlist& nl, CellId root) {
 }
 
 bool net_in_combinational_fanout(const Netlist& nl, CellId cell, NetId net) {
-  CellId target = nl.net(net).driver;
+  const CellId target = nl.net(net).driver;
   if (target == cell) return true;
-  std::vector<CellId> fan = combinational_fanout_cone(nl, cell);
-  return std::find(fan.begin(), fan.end(), target) != fan.end();
+  // Only a combinational driver can lie in the cone; control nets are
+  // mostly primary inputs and register outputs, which end here.
+  if (!is_comb(nl.cell(target).kind)) return false;
+  // Depth-first over the combinational fanout, stopping at the target:
+  // the visited set grows with the part of the cone walked, not with
+  // the netlist.
+  std::unordered_set<std::uint32_t> seen{cell.value()};
+  std::vector<CellId> stack{cell};
+  while (!stack.empty()) {
+    const Cell& c = nl.cell(stack.back());
+    stack.pop_back();
+    if (!c.out.valid()) continue;
+    for (const Pin& pin : nl.net(c.out).fanouts) {
+      if (!is_comb(nl.cell(pin.cell).kind)) continue;
+      if (pin.cell == target) return true;
+      if (seen.insert(pin.cell.value()).second) stack.push_back(pin.cell);
+    }
+  }
+  return false;
 }
 
 std::vector<CellId> changed_cells(const Netlist& base, const Netlist& cur) {
