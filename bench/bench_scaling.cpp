@@ -1,8 +1,10 @@
 // Complexity benchmark (google-benchmark): Sec. 3 claims the activation
 // functions of all modules are derived in O(|V|+|E|) by one backward
 // breadth-first pass. We grow the parametric datapath and time
-// derivation, candidate identification, STA and one simulated cycle
-// batch; derivation time per cell should stay ~flat.
+// derivation, candidate identification, STA, the savings model's set-up
+// (SavingsEstimator: fanin/fanout steering walks for every candidate)
+// and one simulated cycle batch; time per cell should stay ~flat, and
+// the fitted complexity of each size-swept group should read O(N).
 //
 // The BM_*Simulate* and BM_Sweep* groups compare simulation throughput:
 // scalar engine vs the 64-lane bit-parallel engine vs the threaded
@@ -37,8 +39,9 @@ void BM_DeriveActivation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(nl.num_cells()));
   state.counters["cells"] = static_cast<double>(nl.num_cells());
+  state.SetComplexityN(static_cast<std::int64_t>(nl.num_cells()));
 }
-BENCHMARK(BM_DeriveActivation)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_DeriveActivation)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Complexity(benchmark::oN);
 
 void BM_IdentifyCandidates(benchmark::State& state) {
   const Netlist nl = design_of_size(static_cast<int>(state.range(0)));
@@ -50,8 +53,9 @@ void BM_IdentifyCandidates(benchmark::State& state) {
     auto cands = identify_candidates(nl, blocks, aa, pool, CandidateConfig{});
     benchmark::DoNotOptimize(cands.data());
   }
+  state.SetComplexityN(static_cast<std::int64_t>(nl.num_cells()));
 }
-BENCHMARK(BM_IdentifyCandidates)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_IdentifyCandidates)->Arg(4)->Arg(16)->Arg(64)->Complexity(benchmark::oN);
 
 void BM_Sta(benchmark::State& state) {
   const Netlist nl = design_of_size(static_cast<int>(state.range(0)));
@@ -60,8 +64,34 @@ void BM_Sta(benchmark::State& state) {
     const TimingReport rep = run_sta(nl, dm);
     benchmark::DoNotOptimize(rep.worst_slack);
   }
+  state.SetComplexityN(static_cast<std::int64_t>(nl.num_cells()));
 }
-BENCHMARK(BM_Sta)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_Sta)->Arg(4)->Arg(16)->Arg(64)->Complexity(benchmark::oN);
+
+// Savings-model set-up as Algorithm 1 runs it once per iteration: every
+// candidate's fanin steering events and fanout candidates. Each round
+// starts from a copy of the post-activation Boolean universe (copy not
+// timed), since the walks intern new conditions into it.
+void BM_SavingsEstimator(benchmark::State& state) {
+  const Netlist nl = design_of_size(static_cast<int>(state.range(0)));
+  ExprPool base_pool;
+  NetVarMap base_vars;
+  const ActivationAnalysis aa = derive_activation(nl, base_pool, base_vars);
+  const std::vector<IsolationCandidate> cands =
+      identify_candidates(nl, combinational_blocks(nl), aa, base_pool, CandidateConfig{});
+  const MacroPowerModel power;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ExprPool pool = base_pool;
+    NetVarMap vars = base_vars;
+    state.ResumeTiming();
+    SavingsEstimator est(nl, pool, vars, cands, power);
+    benchmark::DoNotOptimize(est.num_candidates());
+  }
+  state.counters["candidates"] = static_cast<double>(cands.size());
+  state.SetComplexityN(static_cast<std::int64_t>(nl.num_cells()));
+}
+BENCHMARK(BM_SavingsEstimator)->Arg(4)->Arg(16)->Arg(64)->Complexity(benchmark::oN);
 
 void BM_Simulate1k(benchmark::State& state) {
   const Netlist nl = design_of_size(static_cast<int>(state.range(0)));

@@ -216,13 +216,4 @@ using StimulusFactory = std::function<std::unique_ptr<Stimulus>()>;
                                                     const StimulusFactory& stimuli,
                                                     const IsolationOptions& options = {});
 
-/// Cheap pre-commit estimate of the candidate's slack after isolation:
-/// bank delay on the data paths plus the activation-logic path merging
-/// in at the bank (Sec. 5.1's three timing effects).
-[[nodiscard]] double estimate_slack_after_isolation(const Netlist& nl, const DelayModel& dm,
-                                                    const TimingReport& timing,
-                                                    const ExprPool& pool, const NetVarMap& vars,
-                                                    CellId cell, ExprRef activation,
-                                                    IsolationStyle style);
-
 }  // namespace opiso

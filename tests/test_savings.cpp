@@ -38,6 +38,16 @@ TEST(Savings, Eq2RescalesToggleRate) {
   EXPECT_DOUBLE_EQ(SavingsEstimator::actual_toggle_rate(0.3, 0.0), 0.0);  // guarded
 }
 
+TEST(Savings, IndexOfMapsCandidatesAndRejectsOtherCells) {
+  Harness h(make_design1(8));
+  const SavingsEstimator est(h.nl, h.pool, h.vars, h.cands, h.power);
+  for (const char* name : {"mul1", "add2", "add3"}) {
+    EXPECT_EQ(est.index_of(h.nl.net(h.nl.find_net(name)).driver), h.index(name)) << name;
+  }
+  // A primary input's driver is a cell but never a candidate.
+  EXPECT_THROW((void)est.index_of(h.nl.net(h.nl.find_net("act")).driver), Error);
+}
+
 TEST(Savings, PrRedundantMatchesActivationStatistics) {
   Harness h(make_design1(8));
   SavingsEstimator est(h.nl, h.pool, h.vars, h.cands, h.power);

@@ -130,6 +130,28 @@ TEST(Traversal, NetInCombinationalFanout) {
   EXPECT_FALSE(net_in_combinational_fanout(nl, add2, nl.find_net("reg_p")));
 }
 
+TEST(Traversal, NetInCombinationalFanoutAgreesWithFanoutCone) {
+  // The early-exit search must answer exactly "is the net's driver the
+  // cell itself or in its full combinational fanout cone".
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (bool latches : {false, true}) {
+      RandomDesignConfig cfg;
+      cfg.allow_latches = latches;
+      const Netlist nl = make_random_datapath(seed, cfg);
+      for (std::uint32_t c = 0; c < nl.num_cells(); ++c) {
+        const std::vector<CellId> cone = combinational_fanout_cone(nl, CellId{c});
+        for (NetId net : nl.net_ids()) {
+          const CellId drv = nl.net(net).driver;
+          const bool expected = std::find(cone.begin(), cone.end(), drv) != cone.end();
+          EXPECT_EQ(net_in_combinational_fanout(nl, CellId{c}, net), expected)
+              << "seed " << seed << " cell " << nl.cell(CellId{c}).name << " net "
+              << nl.net(net).name;
+        }
+      }
+    }
+  }
+}
+
 TEST(Traversal, ChangedCellsEmptyOnIdenticalNetlists) {
   const Netlist a = make_design1(8);
   const Netlist b = make_design1(8);
