@@ -1,6 +1,7 @@
 #include "boolfn/bdd.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
@@ -27,12 +28,44 @@ BddManager::~BddManager() {
   m.gauge("bdd.last_unique_table_size").set(static_cast<double>(nodes_.size()));
 }
 
+std::size_t BddManager::TripleTable::home(std::uint32_t a, std::uint32_t b,
+                                          std::uint32_t c) const {
+  std::uint64_t h = (std::uint64_t{a} << 32 | b) * 0x9E3779B97F4A7C15ull;
+  h = (h ^ (h >> 29) ^ c) * 0xBF58476D1CE4E5B9ull;
+  return static_cast<std::size_t>(h ^ (h >> 32)) & (slots_.size() - 1);
+}
+
+BddRef BddManager::TripleTable::find(std::uint32_t a, std::uint32_t b, std::uint32_t c) const {
+  if (slots_.empty()) return BddRef::invalid();
+  for (std::size_t i = home(a, b, c);; i = (i + 1) & (slots_.size() - 1)) {
+    const Slot& s = slots_[i];
+    if (s.a == kFree) return BddRef::invalid();
+    if (s.a == a && s.b == b && s.c == c) return BddRef{s.v};
+  }
+}
+
+void BddManager::TripleTable::insert(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                                     BddRef v) {
+  OPISO_ASSERT(a != kFree, "TripleTable: the free marker is not a key");
+  if (2 * (size_ + 1) > slots_.size()) {  // keep the load factor at most 1/2
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    size_ = 0;
+    for (const Slot& s : old) {
+      if (s.a != kFree) insert(s.a, s.b, s.c, BddRef{s.v});
+    }
+  }
+  std::size_t i = home(a, b, c);
+  while (slots_[i].a != kFree) i = (i + 1) & (slots_.size() - 1);
+  slots_[i] = Slot{a, b, c, v.value()};
+  ++size_;
+}
+
 BddRef BddManager::make_node(BoolVar var, BddRef low, BddRef high) {
   if (low == high) return low;  // reduction rule
-  Key key{var, low.value(), high.value()};
-  if (auto it = unique_.find(key); it != unique_.end()) {
+  if (const BddRef hit = unique_.find(var, low.value(), high.value()); hit.valid()) {
     ++stats_.unique_hits;
-    return it->second;
+    return hit;
   }
   if (budget_.max_nodes != 0 && nodes_.size() >= budget_.max_nodes) {
     obs::metrics().counter("bdd.budget_exceeded").add(1);
@@ -43,7 +76,7 @@ BddRef BddManager::make_node(BoolVar var, BddRef low, BddRef high) {
   ++stats_.unique_misses;
   BddRef ref{static_cast<std::uint32_t>(nodes_.size())};
   nodes_.push_back(Node{var, low, high});
-  unique_.emplace(key, ref);
+  unique_.insert(var, low.value(), high.value(), ref);
   return ref;
 }
 
@@ -72,10 +105,9 @@ BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
   if (is_one(g) && is_zero(h)) return f;
 
   ++stats_.ite_calls;
-  IteKey key{f.value(), g.value(), h.value()};
-  if (auto it = ite_cache_.find(key); it != ite_cache_.end()) {
+  if (const BddRef hit = ite_cache_.find(f.value(), g.value(), h.value()); hit.valid()) {
     ++stats_.ite_cache_hits;
-    return it->second;
+    return hit;
   }
 
   const BoolVar v = top_var(f, g, h);
@@ -88,7 +120,7 @@ BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
                         "BDD ITE cache budget of " + std::to_string(budget_.max_ite_cache) +
                             " entries exceeded");
   }
-  ite_cache_.emplace(key, result);
+  ite_cache_.insert(f.value(), g.value(), h.value(), result);
   return result;
 }
 

@@ -8,6 +8,7 @@
 
 #include "netlist/traversal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "opt/egraph.hpp"
 #include "power/area_model.hpp"
 #include "power/estimator.hpp"
@@ -439,6 +440,7 @@ struct Profile {
 };
 
 Profile profile_activity(const Netlist& nl, const RewriteOptions& opt) {
+  OPISO_SPAN("opt.profile");
   Profile p;
   Simulator sim(nl);
   UniformStimulus stim(opt.profile_seed);
@@ -715,7 +717,8 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
   res.cells_before = nl.num_cells();
   res.cells_after = nl.num_cells();
   if (netlist_has_latches(nl)) {
-    res.fallback_reason = "latch-bearing design: verify::equiv has no latch semantics";
+    res.fallback_reason =
+        "latch-bearing design: the exact equivalence proof needs latch-free designs";
     obs::metrics().counter("rewrite.fallbacks").add(1);
     return res;
   }
@@ -737,13 +740,16 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
 
     // 2. Saturate.
     GraphBuild b = build_egraph(nl);
-    Saturator sat{b.g, opt, res.rules_fired};
-    for (unsigned it = 0; it < opt.max_iterations; ++it) {
-      if (b.g.num_nodes() > opt.max_nodes) break;
-      ++res.iterations;
-      if (!sat.round()) {
-        res.saturated = true;
-        break;
+    {
+      OPISO_SPAN("opt.saturate");
+      Saturator sat{b.g, opt, res.rules_fired};
+      for (unsigned it = 0; it < opt.max_iterations; ++it) {
+        if (b.g.num_nodes() > opt.max_nodes) break;
+        ++res.iterations;
+        if (!sat.round()) {
+          res.saturated = true;
+          break;
+        }
       }
     }
     res.egraph_classes = b.g.num_classes();
@@ -757,6 +763,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     }
 
     // 3. Extract with the isolation-aware cost model.
+    obs::Span extract_span("opt.extract");
     CostModel cm;
     cm.pr_idle = prof.pr_idle;
     cm.omega_p = opt.omega_p;
@@ -791,6 +798,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     em.rate = &ex.rate;
     Netlist rewritten = em.run();
     res.cost_after = em.emitted_cost;
+    extract_span.end();
     if (!(res.cost_after < res.cost_before - 1e-12)) {
       res.fallback_reason = "extraction found no cheaper representative";
       obs::metrics().counter("rewrite.no_improvement").add(1);
@@ -858,7 +866,7 @@ obs::JsonValue rewrite_report_section(const RewriteResult& r) {
   ext["cost_before"] = r.cost_before;
   ext["cost_after"] = r.cost_after;
   ext["est_power_before_mw"] = r.est_power_before_mw;
-  ext["est_power_after_mw"] = r.est_power_after_mw;
+  if (r.est_power_after_mw) ext["est_power_after_mw"] = *r.est_power_after_mw;
   ext["pr_idle"] = r.pr_idle;
   doc["extraction"] = std::move(ext);
   obs::JsonValue cells = obs::JsonValue::object();

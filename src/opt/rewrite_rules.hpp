@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "netlist/netlist.hpp"
@@ -65,7 +66,8 @@ struct RewriteResult {
   double cost_before = 0.0;    ///< Σ node cost of the input netlist
   double cost_after = 0.0;     ///< Σ node cost of the extracted netlist
   double est_power_before_mw = 0.0;  ///< macro-model power at profiled activity
-  double est_power_after_mw = 0.0;   ///< same, re-profiled on the rewritten netlist
+  /// Same, re-profiled on the rewritten netlist; absent when nothing was emitted.
+  std::optional<double> est_power_after_mw;
   double pr_idle = 0.0;        ///< measured width-weighted register idle probability
   std::size_t cells_before = 0;
   std::size_t cells_after = 0;
@@ -76,7 +78,7 @@ struct RewriteResult {
 /// returns an unverified netlist: every non-identity result passed
 /// verify::equiv (unless opt.verify is disabled, for tests). The input
 /// must validate; latch-bearing designs fall back immediately (the
-/// equivalence checker has no latch semantics).
+/// exact equivalence proof needs latch-free designs).
 [[nodiscard]] RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt = {});
 
 /// The opiso.rewrite/v1 run-report section: rules fired, e-graph size,

@@ -1,123 +1,510 @@
 #include "verify/equiv.hpp"
 
-#include <map>
+#include <algorithm>
+#include <numeric>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "lower/gate_level.hpp"
 #include "netlist/traversal.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace opiso {
 
 namespace {
 
-bool has_latches(const Netlist& nl) {
-  for (CellId id : nl.cell_ids()) {
-    if (cell_kind_is_latch(nl.cell(id).kind)) return true;
+/// Bit index of a lowered "<word>.<i>" name; 0 without a numeric suffix.
+unsigned bit_index(const std::string& name) {
+  const auto dot = name.rfind('.');
+  if (dot == std::string::npos || dot + 1 == name.size()) return 0;
+  unsigned v = 0;
+  for (std::size_t i = dot + 1; i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return 0;
+    v = v * 10 + static_cast<unsigned>(name[i] - '0');
   }
-  return false;
+  return v;
 }
 
-/// Shared variable space across both designs, keyed by net name.
-struct VarSpace {
-  BddManager& mgr;
-  std::unordered_map<std::string, BoolVar> vars;
+// ------------------------------------------------------------- strash
 
-  BddRef var_for(const std::string& name) {
-    auto [it, inserted] = vars.emplace(name, static_cast<BoolVar>(vars.size()));
-    (void)inserted;
-    return mgr.var(it->second);
+/// Node index * 2 + complement bit. Node 0 is the constant 0.
+using Lit = std::uint32_t;
+constexpr Lit kZero = 0;
+constexpr Lit kOne = 1;
+
+/// Structurally hashed AND/XOR graph with complemented edges, shared by
+/// both designs. Nodes are created after their fanins, so node order is
+/// a topological order.
+class Strash {
+ public:
+  enum class Op : std::uint8_t { Const, Var, And, Xor };
+  struct Node {
+    Op op;
+    Lit a;  ///< first fanin; the variable's index for Op::Var
+    Lit b;
+  };
+  struct Var {
+    std::string name;
+    unsigned bit;  ///< position in the interleaved BDD order
+  };
+
+  Strash() { nodes_.push_back({Op::Const, 0, 0}); }
+
+  /// The variable called `name`, created on first use.
+  Lit var(const std::string& name, unsigned bit) {
+    auto [it, inserted] = vars_by_name_.emplace(name, kZero);
+    if (inserted) {
+      it->second = node(Op::Var, static_cast<Lit>(vars_.size()), 0);
+      vars_.push_back({name, bit});
+    }
+    return it->second;
   }
+
+  Lit land(Lit a, Lit b) {
+    if (a > b) std::swap(a, b);
+    if (a == kZero || (a ^ 1) == b) return kZero;
+    if (a == kOne) return b;
+    if (a == b) return a;
+    return hashed(Op::And, a, b);
+  }
+  Lit lor(Lit a, Lit b) { return land(a ^ 1, b ^ 1) ^ 1; }
+  Lit lxor(Lit a, Lit b) {
+    const Lit neg = (a ^ b) & 1;
+    a &= ~Lit{1};
+    b &= ~Lit{1};
+    if (a > b) std::swap(a, b);
+    if (a == b) return neg;
+    if (a == kZero) return b ^ neg;
+    return hashed(Op::Xor, a, b) ^ neg;
+  }
+  /// s ? t : e
+  Lit mux(Lit s, Lit t, Lit e) {
+    if (t == e) return t;
+    return lor(land(s, t), land(s ^ 1, e));
+  }
+
+  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
+  [[nodiscard]] const std::vector<Var>& vars() const { return vars_; }
+
+ private:
+  Lit node(Op op, Lit a, Lit b) {
+    nodes_.push_back({op, a, b});
+    return static_cast<Lit>((nodes_.size() - 1) * 2);
+  }
+  Lit hashed(Op op, Lit a, Lit b) {
+    const std::uint64_t key = (std::uint64_t{op == Op::Xor} << 63) | (std::uint64_t{a} << 32) | b;
+    auto [it, inserted] = table_.emplace(key, kZero);
+    if (inserted) it->second = node(op, a, b);
+    return it->second;
+  }
+
+  std::vector<Node> nodes_;
+  std::vector<Var> vars_;
+  std::unordered_map<std::string, Lit> vars_by_name_;
+  std::unordered_map<std::uint64_t, Lit> table_;
 };
 
-/// Seed the variable space in interleaved bit order: bit 0 of every
-/// word, then bit 1, and so on. Word-major (blocked) order — the
-/// first-encounter default — makes the BDD of a w-bit adder output
-/// exponential in w; interleaving keeps it linear, which is the
-/// difference between rewritten-datapath checks finishing in
-/// milliseconds and blowing a multi-million-node budget.
-void seed_interleaved_order(const Netlist& g, VarSpace& space) {
-  std::map<std::pair<unsigned, std::string>, bool> order;
-  for (CellId id : g.cell_ids()) {
-    const Cell& c = g.cell(id);
-    if (c.kind != CellKind::PrimaryInput && c.kind != CellKind::Reg) continue;
-    const std::string& name = g.net(c.out).name;
-    unsigned bit = 0;
-    const auto dot = name.rfind('.');
-    if (dot != std::string::npos && dot + 1 < name.size()) {
-      unsigned v = 0;
-      bool all_digits = true;
-      for (std::size_t i = dot + 1; i < name.size(); ++i) {
-        if (name[i] < '0' || name[i] > '9') {
-          all_digits = false;
-          break;
-        }
-        v = v * 10 + static_cast<unsigned>(name[i] - '0');
+/// BDDs of strash literals, built on demand and memoized per literal.
+/// The package has no complement edges, so a complemented And literal is
+/// built by De Morgan from its fanins' opposite literals (the OR gates of
+/// lowered adders and muxes then cost no negation); an Xor copies its
+/// second fanin once through bnot, unless both fanins are equal.
+class LazyBdd {
+ public:
+  LazyBdd(const Strash& s, const BddBudget& budget)
+      : s_(s), mgr_(budget), memo_(2 * s.nodes().size(), BddRef::invalid()) {
+    // One interleaved order over every variable of both designs and the
+    // cuts: by bit index, then by name.
+    const auto& vars = s.vars();
+    std::vector<std::uint32_t> order(vars.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+      if (vars[x].bit != vars[y].bit) return vars[x].bit < vars[y].bit;
+      return vars[x].name < vars[y].name;
+    });
+    level_.resize(vars.size());
+    for (std::size_t i = 0; i < order.size(); ++i) level_[order[i]] = static_cast<BoolVar>(i);
+  }
+
+  BddRef of(Lit root) {
+    std::vector<Lit> stack{root};
+    while (!stack.empty()) {
+      const Lit l = stack.back();
+      if (memo_[l].valid()) {
+        stack.pop_back();
+        continue;
       }
-      if (all_digits) bit = v;
+      const Strash::Node& nd = s_.nodes()[l >> 1];
+      const bool neg = l & 1;
+      if (nd.op == Strash::Op::Const) {
+        memo_[l] = neg ? mgr_.one() : mgr_.zero();
+      } else if (nd.op == Strash::Op::Var) {
+        memo_[l] = neg ? mgr_.nvar(level_[nd.a]) : mgr_.var(level_[nd.a]);
+      } else {
+        // And: a∧b, or ¬a∨¬b when negated. Xor: ite(a, ¬b, b), or
+        // ite(a, b, ¬b) when negated, with ¬b copied from b's BDD.
+        const bool is_and = nd.op == Strash::Op::And;
+        const Lit x = nd.a ^ (is_and && neg);
+        const Lit y = nd.b ^ (is_and && neg);
+        bool ready = true;
+        for (Lit need : {x, y}) {
+          if (!memo_[need].valid()) {
+            stack.push_back(need);
+            ready = false;
+          }
+        }
+        if (!ready) continue;
+        const BddRef f = memo_[x], g = memo_[y];
+        if (is_and) {
+          memo_[l] = neg ? mgr_.bor(f, g) : mgr_.band(f, g);
+        } else if (f == g) {
+          memo_[l] = neg ? mgr_.one() : mgr_.zero();
+        } else {
+          BddRef& not_g = memo_[y ^ 1];
+          if (!not_g.valid()) not_g = mgr_.bnot(g);
+          memo_[l] = neg ? mgr_.ite(f, g, not_g) : mgr_.ite(f, not_g, g);
+        }
+      }
+      stack.pop_back();
     }
-    order.emplace(std::make_pair(bit, name), true);
+    return memo_[root];
   }
-  for (const auto& [key, unused] : order) {
-    (void)unused;
-    (void)space.var_for(key.second);
+
+  [[nodiscard]] BddManager& mgr() { return mgr_; }
+
+ private:
+  const Strash& s_;
+  BddManager mgr_;
+  std::vector<BddRef> memo_;
+  std::vector<BoolVar> level_;
+};
+
+// --------------------------------------------------------- cut points
+
+/// One isolated module: its output is cut in both designs.
+struct Cut {
+  std::string name;            ///< the module's output net name
+  NetId out_a, out_b;          ///< output word net in A / B
+  NetId as;                    ///< B's activation net, shared by the banks
+  std::vector<NetId> operand_a;  ///< A's operand per pin
+  std::vector<NetId> bank_d;     ///< B's bank data input per pin
+};
+
+/// The lowered output bits of `m` are gates of its own expansion: not
+/// sources, constants or aliases of its operand bits (as shifts and
+/// buffers lower to wiring), so overriding them changes no other net.
+bool owns_lowered_output(const GateLevelResult& low, const Cell& m) {
+  std::unordered_set<std::uint32_t> seen;
+  for (NetId p : m.ins) {
+    for (NetId bit : low.bits_of(p)) seen.insert(bit.value());
   }
+  for (NetId bit : low.bits_of(m.out)) {
+    switch (low.netlist.cell(low.netlist.net(bit).driver).kind) {
+      case CellKind::PrimaryInput:
+      case CellKind::Reg:
+      case CellKind::Latch:
+      case CellKind::Constant:
+        return false;
+      default:
+        break;
+    }
+    if (!seen.insert(bit.value()).second) return false;
+  }
+  return true;
 }
 
-/// BDD of every net of a lowered (all-1-bit) netlist, with PI bits and
-/// register output bits as variables.
-std::vector<BddRef> build_net_bdds(const Netlist& g, BddManager& mgr, VarSpace& space) {
-  std::vector<BddRef> fn(g.num_nets(), BddRef::invalid());
-  for (CellId id : topological_order(g)) {
-    const Cell& c = g.cell(id);
+/// Isolated modules of `b` relative to `a`, in b's topological order.
+std::vector<Cut> find_cuts(const Netlist& a, const Netlist& b, const GateLevelResult& ga,
+                           const GateLevelResult& gb) {
+  std::vector<Cut> cuts;
+  for (CellId id : topological_order(b)) {
+    const Cell& m = b.cell(id);
+    if (!m.out.valid() || m.ins.empty() || cell_kind_is_isolation(m.kind) ||
+        cell_kind_is_latch(m.kind) || m.kind == CellKind::Reg) {
+      continue;
+    }
+    Cut cut;
+    bool isolated = true;
+    for (NetId pin : m.ins) {
+      const Cell& bank = b.cell(b.net(pin).driver);
+      if (!cell_kind_is_isolation(bank.kind) || a.find_net(b.net(bank.out).name).valid() ||
+          (cut.as.valid() && cut.as != bank.ins[1]) ||
+          b.net(bank.ins[0]).width != b.net(pin).width) {
+        isolated = false;
+        break;
+      }
+      cut.as = bank.ins[1];
+      cut.bank_d.push_back(bank.ins[0]);
+    }
+    if (!isolated) continue;
+    cut.name = b.net(m.out).name;
+    cut.out_b = m.out;
+    cut.out_a = a.find_net(cut.name);
+    if (!cut.out_a.valid()) continue;
+    const Cell& ma = a.cell(a.net(cut.out_a).driver);
+    if (ma.kind != m.kind || ma.param != m.param || ma.width != m.width ||
+        ma.ins.size() != m.ins.size()) {
+      continue;
+    }
+    for (std::size_t p = 0; p < m.ins.size() && isolated; ++p) {
+      isolated = a.net(ma.ins[p]).width == b.net(m.ins[p]).width;
+    }
+    if (!isolated || !owns_lowered_output(ga, ma) || !owns_lowered_output(gb, m)) continue;
+    cut.operand_a = ma.ins;
+    cuts.push_back(std::move(cut));
+  }
+  return cuts;
+}
+
+// ------------------------------------------------------------- engine
+
+/// Latches of either design: a plain latch has no model in any pass;
+/// isolation latch banks have none in the exact pass.
+struct Latches {
+  bool plain = false;
+  bool any = false;
+};
+Latches find_latches(const Netlist& a, const Netlist& b) {
+  Latches l;
+  for (const Netlist* nl : {&a, &b}) {
+    for (CellId id : nl->cell_ids()) {
+      const CellKind k = nl->cell(id).kind;
+      l.plain |= k == CellKind::Latch;
+      l.any |= cell_kind_is_latch(k);
+    }
+  }
+  return l;
+}
+constexpr const char* kPlainLatch =
+    "design has a plain latch: only isolation latch banks have a cut model";
+
+EquivResult unknown(std::string reason) {
+  EquivResult res;
+  res.verdict = EquivResult::Verdict::Unknown;
+  res.reason = std::move(reason);
+  return res;
+}
+
+/// A net override of the cut model: `v` in A, ite(as, v, w) in B.
+struct Override {
+  Lit v = kZero;
+  Lit w = kZero;
+  NetId as;  ///< lowered activation bit (B only)
+};
+
+/// Both designs lowered once, shared by the cut and exact passes.
+class Engine {
+ public:
+  Engine(const Netlist& a, const Netlist& b) : a_(a), b_(b) {
+    OPISO_SPAN("verify.lower");
+    ga_ = lower_to_gates(a);
+    gb_ = lower_to_gates(b);
+  }
+
+  [[nodiscard]] std::vector<Cut> cuts() const {
+    OPISO_SPAN("verify.strash");
+    return find_cuts(a_, b_, ga_, gb_);
+  }
+
+  /// One proof attempt with `cuts` in place (empty: the exact proof).
+  /// Answers Equivalent or NotEquivalent under that model; throws
+  /// ResourceError when the BDD budget runs out.
+  EquivResult pass(const std::vector<Cut>& cuts, const BddBudget& budget) const;
+
+ private:
+  std::vector<Lit> sweep(const GateLevelResult& g, const char* side, Strash& s,
+                         const std::unordered_map<std::uint32_t, Override>& overrides) const;
+
+  const Netlist& a_;
+  const Netlist& b_;
+  GateLevelResult ga_;
+  GateLevelResult gb_;
+};
+
+/// Literal of every net of one lowered design, cuts applied.
+std::vector<Lit> Engine::sweep(const GateLevelResult& g, const char* side, Strash& s,
+                               const std::unordered_map<std::uint32_t, Override>& overrides) const {
+  const Netlist& nl = g.netlist;
+  std::vector<Lit> lit(nl.num_nets(), kZero);
+  for (CellId id : topological_order(nl)) {
+    const Cell& c = nl.cell(id);
     if (!c.out.valid()) continue;
-    BddRef f;
-    auto in = [&](int p) {
-      const BddRef r = fn[c.ins[static_cast<size_t>(p)].value()];
-      OPISO_ASSERT(r.valid(), "equiv: net evaluated before its driver");
-      return r;
-    };
+    auto in = [&](int p) { return lit[c.ins[static_cast<std::size_t>(p)].value()]; };
+    const std::string& name = nl.net(c.out).name;
+    Lit f = kZero;
     switch (c.kind) {
       case CellKind::PrimaryInput:
       case CellKind::Reg:
-        f = space.var_for(g.net(c.out).name);
+        f = s.var(name, bit_index(name));
+        break;
+      case CellKind::Latch:
+        // An isolation latch bit outside every cut: free, per design.
+        f = s.var(std::string(side) + "@" + name, bit_index(name));
         break;
       case CellKind::Constant:
-        f = (c.param & 1) ? mgr.one() : mgr.zero();
+        f = (c.param & 1) ? kOne : kZero;
         break;
       case CellKind::Buf:
         f = in(0);
         break;
       case CellKind::Not:
-        f = mgr.bnot(in(0));
+        f = in(0) ^ 1;
         break;
       case CellKind::And:
-        f = mgr.band(in(0), in(1));
+        f = s.land(in(0), in(1));
         break;
       case CellKind::Or:
-        f = mgr.bor(in(0), in(1));
+        f = s.lor(in(0), in(1));
         break;
       case CellKind::Xor:
-        f = mgr.bxor(in(0), in(1));
+        f = s.lxor(in(0), in(1));
         break;
       case CellKind::Nand:
-        f = mgr.bnot(mgr.band(in(0), in(1)));
+        f = s.land(in(0), in(1)) ^ 1;
         break;
       case CellKind::Nor:
-        f = mgr.bnot(mgr.bor(in(0), in(1)));
+        f = s.lor(in(0), in(1)) ^ 1;
         break;
       case CellKind::Xnor:
-        f = mgr.bnot(mgr.bxor(in(0), in(1)));
+        f = s.lxor(in(0), in(1)) ^ 1;
         break;
       case CellKind::Mux2:
-        f = mgr.ite(in(0), in(2), in(1));
+        f = s.mux(in(0), in(2), in(1));
         break;
       default:
         throw NetlistError("equiv: unexpected cell kind '" +
                            std::string(cell_kind_name(c.kind)) + "' in lowered netlist");
     }
-    fn[c.out.value()] = f;
+    if (auto it = overrides.find(c.out.value()); it != overrides.end()) {
+      const Override& o = it->second;
+      f = o.as.valid() ? s.mux(lit[o.as.value()], o.v, o.w) : o.v;
+    }
+    lit[c.out.value()] = f;
   }
-  return fn;
+  return lit;
+}
+
+EquivResult Engine::pass(const std::vector<Cut>& cuts, const BddBudget& budget) const {
+  /// Holds iff `lit` is constant 0. Uncounted entries are the cut
+  /// lemmas and structural mismatches (the latter with lit = 1).
+  struct Obligation {
+    Lit lit;
+    std::string reason;
+    bool counted;
+  };
+  std::vector<Obligation> obligations;
+  Strash s;
+  {
+    OPISO_SPAN("verify.strash");
+    std::unordered_map<std::uint32_t, Override> over_a, over_b;
+    for (const Cut& cut : cuts) {
+      const std::vector<NetId>& bits_a = ga_.bits_of(cut.out_a);
+      const std::vector<NetId>& bits_b = gb_.bits_of(cut.out_b);
+      const NetId as = gb_.bits_of(cut.as).at(0);
+      for (std::size_t i = 0; i < bits_b.size(); ++i) {
+        const std::string bit = cut.name + "." + std::to_string(i);
+        const Lit v = s.var("v@" + bit, static_cast<unsigned>(i));
+        const Lit w = s.var("w@" + bit, static_cast<unsigned>(i));
+        over_a[bits_a[i].value()] = {v, w, NetId::invalid()};
+        over_b[bits_b[i].value()] = {v, w, as};
+      }
+    }
+    const std::vector<Lit> fa = sweep(ga_, "A", s, over_a);
+    const std::vector<Lit> fb = sweep(gb_, "B", s, over_b);
+
+    // --- cut lemmas -------------------------------------------------------
+    for (const Cut& cut : cuts) {
+      const Lit as = fb[gb_.bits_of(cut.as).at(0).value()];
+      for (std::size_t p = 0; p < cut.operand_a.size(); ++p) {
+        const std::vector<NetId>& op = ga_.bits_of(cut.operand_a[p]);
+        const std::vector<NetId>& d = gb_.bits_of(cut.bank_d[p]);
+        for (std::size_t i = 0; i < op.size(); ++i) {  // widths match (find_cuts)
+          obligations.push_back({s.land(as, s.lxor(fa[op[i].value()], fb[d[i].value()])),
+                                 "operand " + std::to_string(p) + " of isolated '" + cut.name +
+                                     "' differs while its activation holds",
+                                 false});
+        }
+      }
+    }
+
+    // --- register obligations, matched by bit-net name -----------------
+    const Netlist& na = ga_.netlist;
+    const Netlist& nb = gb_.netlist;
+    std::unordered_map<std::string, CellId> regs_b;
+    for (CellId id : nb.cell_ids()) {
+      const Cell& c = nb.cell(id);
+      if (c.kind == CellKind::Reg) regs_b.emplace(nb.net(c.out).name, id);
+    }
+    std::size_t matched = 0;
+    for (CellId id : na.cell_ids()) {
+      const Cell& ca = na.cell(id);
+      if (ca.kind != CellKind::Reg) continue;
+      const std::string& name = na.net(ca.out).name;
+      auto it = regs_b.find(name);
+      if (it == regs_b.end()) {
+        obligations.push_back(
+            {kOne, "register bit '" + name + "' missing from transformed design", false});
+        break;
+      }
+      ++matched;
+      const Cell& cb = nb.cell(it->second);
+      const Lit en_a = fa[ca.ins[1].value()];
+      obligations.push_back({s.lxor(en_a, fb[cb.ins[1].value()]),
+                             "enable functions differ for register bit '" + name + "'", true});
+      obligations.push_back(
+          {s.land(en_a, s.lxor(fa[ca.ins[0].value()], fb[cb.ins[0].value()])),
+           "register bit '" + name + "' can load a different value while enabled", true});
+    }
+    if (matched != regs_b.size()) {
+      obligations.push_back({kOne, "transformed design has extra registers", false});
+    }
+
+    // --- primary outputs, by position -----------------------------------
+    if (na.primary_outputs().size() != nb.primary_outputs().size()) {
+      obligations.push_back({kOne, "primary output counts differ", false});
+    } else {
+      for (std::size_t i = 0; i < na.primary_outputs().size(); ++i) {
+        const NetId oa = na.cell(na.primary_outputs()[i]).ins[0];
+        const NetId ob = nb.cell(nb.primary_outputs()[i]).ins[0];
+        obligations.push_back({s.lxor(fa[oa.value()], fb[ob.value()]),
+                               "primary output bit " + std::to_string(i) + " ('" +
+                                   na.net(oa).name + "') differs",
+                               true});
+      }
+    }
+  }
+
+  // --- discharge in order: strash first, BDDs for what stays open -------
+  OPISO_SPAN("verify.bdd");
+  EquivResult res;
+  res.cut_points = cuts.size();
+  LazyBdd bdd(s, budget);
+  std::uint64_t by_strash = 0, by_bdd = 0;
+  const auto flush = [&] {
+    obs::metrics().counter("verify.strash_discharged").add(by_strash);
+    obs::metrics().counter("verify.bdd_discharged").add(by_bdd);
+    res.bdd_nodes = bdd.mgr().num_nodes();
+  };
+  for (const Obligation& ob : obligations) {
+    if (ob.counted) ++res.obligations_checked;
+    if (ob.lit == kZero) {
+      ++by_strash;
+      continue;
+    }
+    if (ob.lit != kOne && bdd.mgr().is_zero(bdd.of(ob.lit))) {
+      ++by_bdd;
+      continue;
+    }
+    flush();
+    res.verdict = EquivResult::Verdict::NotEquivalent;
+    res.reason = ob.reason;
+    return res;
+  }
+  flush();
+  res.verdict = EquivResult::Verdict::Equivalent;
+  res.equivalent = true;
+  return res;
 }
 
 }  // namespace
@@ -128,79 +515,46 @@ EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& 
 
 EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& transformed,
                                         const BddBudget& budget) {
-  EquivResult res;
-  if (has_latches(original) || has_latches(transformed)) {
-    res.reason = "designs with latches have no single-cut combinational semantics; "
-                 "use the simulation-based lock-step check";
+  const Latches latches = find_latches(original, transformed);
+  if (latches.plain) return unknown(kPlainLatch);
+  const Engine engine(original, transformed);
+  const std::vector<Cut> cuts = engine.cuts();
+  if (cuts.empty() && !latches.any) return engine.pass(cuts, budget);
+
+  std::string why;
+  try {
+    EquivResult res = engine.pass(cuts, budget);
+    if (res.equivalent) return res;
+    why = res.reason;
+  } catch (const ResourceError& e) {
+    why = std::string("BDD budget exhausted: ") + e.what();
+  }
+  obs::metrics().counter("verify.cut_fallbacks").add(1);
+  if (latches.any) {
+    EquivResult res = unknown("cut-point pass failed (" + why +
+                              ") and latch banks have no exact model");
+    res.fallback_reason = why;
     return res;
   }
+  EquivResult res = engine.pass({}, budget);
+  res.fallback_reason = "cut-point pass: " + why;
+  return res;
+}
 
-  const GateLevelResult ga = lower_to_gates(original);
-  const GateLevelResult gb = lower_to_gates(transformed);
-
-  BddManager mgr(budget);
-  VarSpace space{mgr, {}};
-  seed_interleaved_order(ga.netlist, space);
-  seed_interleaved_order(gb.netlist, space);
-  const std::vector<BddRef> fa = build_net_bdds(ga.netlist, mgr, space);
-  const std::vector<BddRef> fb = build_net_bdds(gb.netlist, mgr, space);
-
-  // --- register obligations, matched by bit-net name -------------------
-  std::unordered_map<std::string, CellId> regs_b;
-  for (CellId id : gb.netlist.cell_ids()) {
-    const Cell& c = gb.netlist.cell(id);
-    if (c.kind == CellKind::Reg) regs_b.emplace(gb.netlist.net(c.out).name, id);
+EquivResult run_equivalence_pass(const Netlist& original, const Netlist& transformed,
+                                 const BddBudget& budget, EquivPass pass) {
+  const Latches latches = find_latches(original, transformed);
+  if (latches.plain) return unknown(kPlainLatch);
+  if (pass == EquivPass::Exact && latches.any) {
+    return unknown("the exact pass needs latch-free designs");
   }
-  std::size_t matched = 0;
-  for (CellId id : ga.netlist.cell_ids()) {
-    const Cell& ca = ga.netlist.cell(id);
-    if (ca.kind != CellKind::Reg) continue;
-    const std::string& name = ga.netlist.net(ca.out).name;
-    auto it = regs_b.find(name);
-    if (it == regs_b.end()) {
-      res.reason = "register bit '" + name + "' missing from transformed design";
-      return res;
-    }
-    ++matched;
-    const Cell& cb = gb.netlist.cell(it->second);
-    const BddRef en_a = fa[ca.ins[1].value()];
-    const BddRef en_b = fb[cb.ins[1].value()];
-    ++res.obligations_checked;
-    if (!mgr.equal(en_a, en_b)) {
-      res.reason = "enable functions differ for register bit '" + name + "'";
-      return res;
-    }
-    const BddRef d_a = fa[ca.ins[0].value()];
-    const BddRef d_b = fb[cb.ins[0].value()];
-    ++res.obligations_checked;
-    if (!mgr.is_zero(mgr.band(en_a, mgr.bxor(d_a, d_b)))) {
-      res.reason = "register bit '" + name + "' can load a different value while enabled";
-      return res;
-    }
+  const Engine engine(original, transformed);
+  EquivResult res = engine.pass(pass == EquivPass::Exact ? std::vector<Cut>{} : engine.cuts(),
+                                budget);
+  if (pass == EquivPass::CutPoints && !res.equivalent) {
+    res.verdict = EquivResult::Verdict::Unknown;
+    res.reason = "cut-point pass failed: " + res.reason;
   }
-  if (matched != regs_b.size()) {
-    res.reason = "transformed design has extra registers";
-    return res;
-  }
-
-  // --- primary outputs, by position ------------------------------------
-  if (ga.netlist.primary_outputs().size() != gb.netlist.primary_outputs().size()) {
-    res.reason = "primary output counts differ";
-    return res;
-  }
-  for (std::size_t i = 0; i < ga.netlist.primary_outputs().size(); ++i) {
-    const NetId na = ga.netlist.cell(ga.netlist.primary_outputs()[i]).ins[0];
-    const NetId nb = gb.netlist.cell(gb.netlist.primary_outputs()[i]).ins[0];
-    ++res.obligations_checked;
-    if (!mgr.equal(fa[na.value()], fb[nb.value()])) {
-      res.reason = "primary output bit " + std::to_string(i) + " ('" +
-                   ga.netlist.net(na).name + "') differs";
-      return res;
-    }
-  }
-
-  res.equivalent = true;
-  res.bdd_nodes = mgr.num_nodes();
   return res;
 }
 

@@ -70,8 +70,8 @@ TEST_P(Fuzz, IsolationPreservesBehaviorAllStyles) {
   }
 }
 
-TEST_P(Fuzz, FormalCheckerAgreesOnGateStyles) {
-  // Keep multiplier bit-widths small enough for BDDs.
+TEST_P(Fuzz, FormalCheckerProvesAllStyles) {
+  // Keep multiplier bit-widths small enough for the exact pass's BDDs.
   RandomDesignConfig cfg;
   cfg.max_width = 5;
   cfg.levels = 4;
@@ -80,21 +80,25 @@ TEST_P(Fuzz, FormalCheckerAgreesOnGateStyles) {
   const NetlistStats stats = compute_stats(original);
   if (stats.cells_by_kind[static_cast<size_t>(CellKind::Mul)] > 3) return;
 
-  Netlist nl = original;
-  ExprPool pool;
-  NetVarMap vars;
-  const ActivationAnalysis aa = derive_activation(nl, pool, vars);
-  std::size_t isolated = 0;
-  for (CellId id : nl.cell_ids()) {
-    if (!cell_kind_is_arith(nl.cell(id).kind)) continue;
-    const ExprRef f = aa.activation_of(nl, id);
-    if (pool.is_const1(f) || !isolation_is_legal(nl, pool, vars, id, f)) continue;
-    (void)isolate_module(nl, pool, vars, id, f, IsolationStyle::And);
-    ++isolated;
+  for (IsolationStyle style :
+       {IsolationStyle::And, IsolationStyle::Or, IsolationStyle::Latch}) {
+    Netlist nl = original;
+    ExprPool pool;
+    NetVarMap vars;
+    const ActivationAnalysis aa = derive_activation(nl, pool, vars);
+    std::size_t isolated = 0;
+    for (CellId id : nl.cell_ids()) {
+      if (!cell_kind_is_arith(nl.cell(id).kind)) continue;
+      const ExprRef f = aa.activation_of(nl, id);
+      if (pool.is_const1(f) || !isolation_is_legal(nl, pool, vars, id, f)) continue;
+      (void)isolate_module(nl, pool, vars, id, f, style);
+      ++isolated;
+    }
+    if (isolated == 0) return;
+    const EquivResult res = check_isolation_equivalence(original, nl);
+    EXPECT_EQ(res.verdict, EquivResult::Verdict::Equivalent)
+        << "seed " << seed() << " " << isolation_style_name(style) << ": " << res.reason;
   }
-  if (isolated == 0) return;
-  const EquivResult res = check_isolation_equivalence(original, nl);
-  EXPECT_TRUE(res.equivalent) << "seed " << seed() << ": " << res.reason;
 }
 
 TEST_P(Fuzz, LoweringMatchesWordLevel) {

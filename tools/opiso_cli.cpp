@@ -13,7 +13,8 @@
 //   opiso rewrite  <design> [-o out.rtn]        equality-saturation datapath
 //       rewrite (isolation-aware extraction, verify::equiv-gated)
 //   opiso lower    <design> [-o out.rtn]        gate-level expansion
-//   opiso verify   <original> <transformed>     BDD equivalence proof
+//   opiso verify   <original> <transformed>     strash + BDD equivalence proof
+//       (EQUIVALENT exit 0, NOT EQUIVALENT exit 1, UNKNOWN exit 2)
 //   opiso lint     <design...> [options]        static analysis (pass-based)
 //       --fail-on error|warning   --bdd-budget N   --slack-threshold NS
 //   opiso sweep    <design...> [options]        multithreaded simulation sweep
@@ -122,7 +123,9 @@ using namespace opiso;
       "      proven equivalent (verify::equiv) or the input passes through\n"
       "      unchanged; --metrics FILE writes the opiso.rewrite/v1 section\n"
       "  lower      <design> [-o out.rtn]     gate-level expansion\n"
-      "  verify     <original> <transformed>  BDD equivalence proof\n"
+      "  verify     <original> <transformed>  strash + BDD equivalence proof,\n"
+      "      cut at isolation banks; prints EQUIVALENT (exit 0), NOT\n"
+      "      EQUIVALENT: <obligation> (exit 1) or UNKNOWN: <reason> (exit 2)\n"
       "  lint       <design...>               static analysis; passes: comb_loop,\n"
       "      width, drivers, dead_logic, isolation_soundness, isolation_overhead;\n"
       "      findings carry stable lint.* codes (lint.comb_loop, lint.width,\n"
@@ -228,9 +231,9 @@ using namespace opiso;
       "\n"
       "exit codes: 0 success; 1 command failure (error, verify mismatch,\n"
       "report divergence, lint findings at or above --fail-on severity);\n"
-      "2 usage; 3 completed-but-flagged (sweep recorded task failures, or\n"
-      "isolate missed --min-ci-halfwidth); the report is still written in\n"
-      "full.\n"
+      "2 usage, or verify undecided (UNKNOWN); 3 completed-but-flagged\n"
+      "(sweep recorded task failures, or isolate missed\n"
+      "--min-ci-halfwidth); the report is still written in full.\n"
       "\n"
       "<design> is a .rtn structural netlist or a .rtl RTL-language file\n"
       "(chosen by extension).\n";
@@ -1048,12 +1051,19 @@ int run(int argc, char** argv) {
     if (args.positional.size() < 2) usage();
     const Netlist other = load_design(args.positional[1]);
     const EquivResult res = check_isolation_equivalence(design, other);
-    if (res.equivalent) {
-      std::cout << "EQUIVALENT (" << res.obligations_checked << " obligations, "
-                << res.bdd_nodes << " BDD nodes)\n";
-    } else {
-      std::cout << "NOT EQUIVALENT: " << res.reason << "\n";
-      exit_code = 1;
+    switch (res.verdict) {
+      case EquivResult::Verdict::Equivalent:
+        std::cout << "EQUIVALENT (" << res.obligations_checked << " obligations, "
+                  << res.bdd_nodes << " BDD nodes)\n";
+        break;
+      case EquivResult::Verdict::NotEquivalent:
+        std::cout << "NOT EQUIVALENT: " << res.reason << "\n";
+        exit_code = 1;
+        break;
+      case EquivResult::Verdict::Unknown:
+        std::cout << "UNKNOWN: " << res.reason << "\n";
+        exit_code = 2;
+        break;
     }
   } else {
     usage();
