@@ -105,7 +105,7 @@ Netlist make_tail_pipeline(unsigned stages, unsigned width) {
   for (unsigned s = 0; s < stages; ++s) {
     const NetId m = nl.add_binop(CellKind::Mul, "mul" + std::to_string(s), x, b);
     const NetId sum = nl.add_binop(CellKind::Add, "add" + std::to_string(s), m, a);
-    x = nl.add_reg("r" + std::to_string(s), sum, one);
+    x = nl.add_reg('r' + std::to_string(s), sum, one);
   }
   const NetId mt = nl.add_binop(CellKind::Mul, "mul_tail", x, b);
   const NetId r = nl.add_reg("reg_tail", mt, g);

@@ -75,7 +75,7 @@ inline TableResult run_style_table(const Netlist& design, const StimulusFactory&
   TableResult table;
   const IsolationResult& first = results.front();
   table.baseline = StyleRow{"non-isolated", first.power_before_mw,   0.0,
-                            first.area_before_um2,  0.0, first.slack_before_ns, 0.0, 0};
+                            first.area_before_um2,  0.0, first.slack_before_ns, 0.0, 0, {}};
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const IsolationResult& res = results[i];
     StyleRow row;

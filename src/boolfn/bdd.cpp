@@ -139,14 +139,6 @@ BddRef BddManager::restrict_var(BddRef f, BoolVar v, bool value) {
   return make_node(n.var, lo, hi);
 }
 
-BddRef BddManager::exists(BddRef f, BoolVar v) {
-  return bor(restrict_var(f, v, false), restrict_var(f, v, true));
-}
-
-BddRef BddManager::forall(BddRef f, BoolVar v) {
-  return band(restrict_var(f, v, false), restrict_var(f, v, true));
-}
-
 bool BddManager::implies(BddRef f, BddRef g) { return is_one(ite(f, g, one_)); }
 
 BddRef BddManager::restrict_to_care(BddRef f, BddRef care) {
@@ -190,13 +182,6 @@ double BddManager::probability(BddRef f, const std::function<double(BoolVar)>& p
   return go(f);
 }
 
-double BddManager::sat_count(BddRef f, unsigned num_vars) {
-  double prob = probability(f, [](BoolVar) { return 0.5; });
-  double count = prob;
-  for (unsigned i = 0; i < num_vars; ++i) count *= 2.0;
-  return count;
-}
-
 std::vector<BoolVar> BddManager::support(BddRef f) const {
   std::unordered_set<std::uint32_t> seen;
   std::vector<BoolVar> vars;
@@ -214,23 +199,6 @@ std::vector<BoolVar> BddManager::support(BddRef f) const {
   std::sort(vars.begin(), vars.end());
   vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
-}
-
-std::size_t BddManager::size(BddRef f) const {
-  std::unordered_set<std::uint32_t> seen;
-  std::vector<BddRef> stack{f};
-  std::size_t count = 0;
-  while (!stack.empty()) {
-    BddRef cur = stack.back();
-    stack.pop_back();
-    if (is_zero(cur) || is_one(cur)) continue;
-    if (!seen.insert(cur.value()).second) continue;
-    ++count;
-    const Node& n = nodes_[cur.value()];
-    stack.push_back(n.low);
-    stack.push_back(n.high);
-  }
-  return count;
 }
 
 BddRef BddManager::from_expr(const ExprPool& pool, ExprRef e) {

@@ -71,10 +71,6 @@ class BddManager {
 
   /// Cofactor with respect to v = value.
   [[nodiscard]] BddRef restrict_var(BddRef f, BoolVar v, bool value);
-  /// ∃v. f
-  [[nodiscard]] BddRef exists(BddRef f, BoolVar v);
-  /// ∀v. f
-  [[nodiscard]] BddRef forall(BddRef f, BoolVar v);
 
   /// Coudert–Madre restrict: returns g with g∧care = f∧care, using the
   /// don't-care space ¬care to (heuristically) shrink the BDD. Used for
@@ -92,14 +88,8 @@ class BddManager {
   /// Pr[f = 1] assuming independent variables with Pr[v = 1] = p(v).
   [[nodiscard]] double probability(BddRef f, const std::function<double(BoolVar)>& p);
 
-  /// Number of satisfying assignments over `num_vars` variables
-  /// (num_vars must cover the support).
-  [[nodiscard]] double sat_count(BddRef f, unsigned num_vars);
-
   [[nodiscard]] std::vector<BoolVar> support(BddRef f) const;
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
-  /// Distinct internal nodes reachable from f (BDD size).
-  [[nodiscard]] std::size_t size(BddRef f) const;
 
   /// Build a BDD from an expression.
   [[nodiscard]] BddRef from_expr(const ExprPool& pool, ExprRef e);

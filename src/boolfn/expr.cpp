@@ -176,12 +176,12 @@ std::string ExprPool::to_string(ExprRef r,
       return name(n.var);
     case ExprOp::Not: {
       const ExprNode& inner = node(n.a);
-      if (inner.op == ExprOp::Var) return "!" + name(inner.var);
+      if (inner.op == ExprOp::Var) return '!' + name(inner.var);
       return "!(" + to_string(n.a, name) + ")";
     }
     case ExprOp::And: {
       auto wrap = [&](ExprRef x) {
-        return node(x).op == ExprOp::Or ? "(" + to_string(x, name) + ")" : to_string(x, name);
+        return node(x).op == ExprOp::Or ? '(' + to_string(x, name) + ")" : to_string(x, name);
       };
       return wrap(n.a) + " & " + wrap(n.b);
     }
@@ -192,7 +192,7 @@ std::string ExprPool::to_string(ExprRef r,
 }
 
 std::string ExprPool::to_string(ExprRef r) const {
-  return to_string(r, [](BoolVar v) { return "v" + std::to_string(v); });
+  return to_string(r, [](BoolVar v) { return 'v' + std::to_string(v); });
 }
 
 }  // namespace opiso

@@ -56,7 +56,6 @@ class ExprPool {
 
   [[nodiscard]] bool is_const0(ExprRef r) const { return r == const0_; }
   [[nodiscard]] bool is_const1(ExprRef r) const { return r == const1_; }
-  [[nodiscard]] bool is_const(ExprRef r) const { return is_const0(r) || is_const1(r); }
 
   /// Evaluate under an assignment (callback: var -> bool).
   [[nodiscard]] bool eval(ExprRef r, const std::function<bool(BoolVar)>& value) const;

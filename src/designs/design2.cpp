@@ -49,7 +49,7 @@ Netlist make_design2(unsigned width, unsigned lanes) {
   const NetId en_acc = nl.add_binop(CellKind::Or, "en_acc", ph1, ph2);
 
   for (unsigned lane = 0; lane < lanes; ++lane) {
-    const std::string L = "l" + std::to_string(lane) + "_";
+    const std::string L = 'l' + std::to_string(lane) + "_";
     const NetId a_in = nl.add_input(L + "a", width);
     const NetId b_in = nl.add_input(L + "b", width);
 

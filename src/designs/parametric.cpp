@@ -14,7 +14,7 @@ Netlist make_parametric_datapath(const ParametricConfig& cfg) {
   Netlist nl("parametric_" + std::to_string(cfg.lanes) + "x" + std::to_string(cfg.stages));
 
   for (unsigned lane = 0; lane < cfg.lanes; ++lane) {
-    const std::string L = "l" + std::to_string(lane) + "_";
+    const std::string L = 'l' + std::to_string(lane) + "_";
     NetId data_a = nl.add_input(L + "a", cfg.width);
     NetId data_b = nl.add_input(L + "b", cfg.width);
 

@@ -58,36 +58,26 @@ struct SliceEvaluator {
   void evaluate(std::uint64_t state, std::uint64_t input) const {
     for (CellId id : order) {
       const Cell& c = nl.cell(id);
-      auto in = [&](int p) { return value[c.ins[static_cast<size_t>(p)].value()]; };
-      std::uint8_t out = 0;
+      std::uint64_t out = 0;
       switch (c.kind) {
         case CellKind::Constant:
-          out = static_cast<std::uint8_t>(c.param & 1);
+          out = c.param;
           break;
         case CellKind::PrimaryInput: {
           const int idx = input_index_of_net[c.out.value()];
           OPISO_ASSERT(idx >= 0, "SliceEvaluator: PI missing from input enumeration");
-          out = static_cast<std::uint8_t>((input >> idx) & 1);
+          out = input >> idx;
           break;
         }
         case CellKind::Reg:
-          out = static_cast<std::uint8_t>((state >> state_index_of_cell[id.value()]) & 1);
+          out = state >> state_index_of_cell[id.value()];
           break;
-        case CellKind::Not: out = !in(0); break;
-        case CellKind::Buf: out = in(0); break;
-        case CellKind::And: out = in(0) & in(1); break;
-        case CellKind::Or: out = in(0) | in(1); break;
-        case CellKind::Xor: out = in(0) ^ in(1); break;
-        case CellKind::Nand: out = !(in(0) & in(1)); break;
-        case CellKind::Nor: out = !(in(0) | in(1)); break;
-        case CellKind::Xnor: out = !(in(0) ^ in(1)); break;
-        case CellKind::Eq: out = in(0) == in(1); break;
-        case CellKind::Lt: out = in(0) < in(1); break;
-        case CellKind::Mux2: out = in(0) ? in(2) : in(1); break;
         default:
-          throw Error("SliceEvaluator: non-control cell in slice");
+          out = eval_comb_cell(c.kind, c.param, [&](int p) -> std::uint64_t {
+            return value[c.ins[static_cast<std::size_t>(p)].value()];
+          });
       }
-      value[c.out.value()] = out & 1;
+      value[c.out.value()] = static_cast<std::uint8_t>(out & 1);
     }
   }
 

@@ -6,6 +6,10 @@
 
 namespace opiso {
 
+std::vector<CellKind> CandidateConfig::default_kinds() {
+  return {CellKind::Add, CellKind::Sub, CellKind::Mul};
+}
+
 bool CandidateConfig::kind_matches(CellKind kind) const {
   return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
 }

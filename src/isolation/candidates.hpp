@@ -18,10 +18,13 @@
 namespace opiso {
 
 struct CandidateConfig {
-  std::vector<CellKind> kinds = {CellKind::Add, CellKind::Sub, CellKind::Mul};
+  std::vector<CellKind> kinds = default_kinds();
   unsigned min_width = 2;
 
   [[nodiscard]] bool kind_matches(CellKind kind) const;
+  /// Add, Sub and Mul. Out of line: GCC 12 reports the inlined copy of
+  /// a braced default as -Wmaybe-uninitialized in every includer.
+  [[nodiscard]] static std::vector<CellKind> default_kinds();
 };
 
 struct IsolationCandidate {

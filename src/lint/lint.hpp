@@ -13,11 +13,14 @@
 //   drivers              undriven, multiply-driven and dangling nets
 //   dead_logic           logic no register or primary output observes
 //                        (structural reachability + Sec.-3 observability)
-//   isolation_soundness  per inserted bank, a BDD proof that AS = 0
+//   isolation_soundness  per inserted bank, a proof that AS = 0
 //                        implies the guarded module's output is
 //                        unobserved this cycle (budget-guarded; blown
 //                        budgets degrade to "unproven" warnings)
 //   isolation_overhead   AS gating depth cross-checked against STA slack
+//
+// dead_logic and isolation_soundness ground their proofs in the shared
+// strash + lazy-BDD engine (boolfn/strash.hpp) that verify/ uses too.
 //
 // The framework is open: PassRegistry accepts external passes, and
 // LintContext shares the lazily computed artifacts (SCCs, topological

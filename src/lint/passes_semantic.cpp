@@ -6,195 +6,14 @@
 #include <algorithm>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
+#include "boolfn/strash.hpp"
 #include "lint/passes.hpp"
 
 namespace opiso::lint {
 
 namespace {
-
-/// Grounds 1-bit nets (and observability expressions over them) to BDDs
-/// over a common leaf set: primary inputs, register/latch outputs,
-/// constants (folded) and any net driven by a cell the grounding cannot
-/// expand (wide operands). Expanding through the 1-bit control logic is
-/// what makes the soundness check meaningful — the synthesized AS logic
-/// and the derived observability function must meet in the same
-/// variable space, not each behind an opaque variable of its own.
-class NetGrounder {
- public:
-  NetGrounder(LintContext& ctx, BddManager& mgr) : ctx_(ctx), mgr_(mgr) {}
-
-  BddRef of_net(NetId net) {
-    const Netlist& nl = ctx_.nl();
-    std::vector<std::uint32_t> stack{net.value()};
-    while (!stack.empty()) {
-      const std::uint32_t n = stack.back();
-      if (net_memo_.count(n) != 0) {
-        stack.pop_back();
-        continue;
-      }
-      const NetId nid{n};
-      const Cell& drv = nl.cell(nl.net(nid).driver);
-      if (!expandable(nl, drv)) {
-        net_memo_[n] = leaf(nid, drv);
-        stack.pop_back();
-        continue;
-      }
-      bool ready = true;
-      for (NetId in : drv.ins) {
-        if (net_memo_.count(in.value()) == 0) {
-          stack.push_back(in.value());
-          ready = false;
-        }
-      }
-      if (!ready) continue;
-      net_memo_[n] = combine(drv);
-      stack.pop_back();
-    }
-    return net_memo_.at(net.value());
-  }
-
-  /// Ground an observability expression: Var v → of_net(net carrying v).
-  BddRef of_expr(ExprRef e) {
-    const ExprPool& pool = ctx_.pool();
-    std::vector<ExprRef> stack{e};
-    while (!stack.empty()) {
-      const ExprRef r = stack.back();
-      if (expr_memo_.count(r.value()) != 0) {
-        stack.pop_back();
-        continue;
-      }
-      const ExprNode& node = pool.node(r);
-      switch (node.op) {
-        case ExprOp::Const0: expr_memo_[r.value()] = mgr_.zero(); break;
-        case ExprOp::Const1: expr_memo_[r.value()] = mgr_.one(); break;
-        case ExprOp::Var:
-          expr_memo_[r.value()] = of_net(ctx_.vars().net_of(node.var));
-          break;
-        case ExprOp::Not: {
-          auto it = expr_memo_.find(node.a.value());
-          if (it == expr_memo_.end()) {
-            stack.push_back(node.a);
-            continue;
-          }
-          expr_memo_[r.value()] = mgr_.bnot(it->second);
-          break;
-        }
-        case ExprOp::And:
-        case ExprOp::Or: {
-          auto ia = expr_memo_.find(node.a.value());
-          auto ib = expr_memo_.find(node.b.value());
-          if (ia == expr_memo_.end() || ib == expr_memo_.end()) {
-            if (ia == expr_memo_.end()) stack.push_back(node.a);
-            if (ib == expr_memo_.end()) stack.push_back(node.b);
-            continue;
-          }
-          expr_memo_[r.value()] = node.op == ExprOp::And ? mgr_.band(ia->second, ib->second)
-                                                         : mgr_.bor(ia->second, ib->second);
-          break;
-        }
-      }
-      stack.pop_back();
-    }
-    return expr_memo_.at(e.value());
-  }
-
-  BddManager& mgr() { return mgr_; }
-
- private:
-  static bool one_bit_ins(const Netlist& nl, const Cell& c) {
-    return std::all_of(c.ins.begin(), c.ins.end(),
-                       [&](NetId in) { return nl.net(in).width == 1; });
-  }
-
-  static bool expandable(const Netlist& nl, const Cell& c) {
-    if (!c.out.valid() || nl.net(c.out).width != 1 || !one_bit_ins(nl, c)) return false;
-    switch (c.kind) {
-      case CellKind::Not:
-      case CellKind::Buf:
-      case CellKind::And:
-      case CellKind::Or:
-      case CellKind::Xor:
-      case CellKind::Nand:
-      case CellKind::Nor:
-      case CellKind::Xnor:
-      case CellKind::Eq:
-      case CellKind::Lt:
-      case CellKind::Add:
-      case CellKind::Sub:
-      case CellKind::Mux2:
-      case CellKind::IsoAnd:
-      case CellKind::IsoOr:
-      case CellKind::Constant:
-        return true;
-      default:
-        // PI / Reg / Latch / IsoLatch carry state or stimulus; wide
-        // arithmetic and shifts stay opaque.
-        return false;
-    }
-  }
-
-  BddRef leaf(NetId net, const Cell& drv) {
-    if (drv.kind == CellKind::Constant) {
-      return (drv.param & 1u) != 0 ? mgr_.one() : mgr_.zero();
-    }
-    return mgr_.var(ctx_.vars().var_of(ctx_.nl(), net));
-  }
-
-  BddRef combine(const Cell& c) {
-    auto in = [&](std::size_t i) { return net_memo_.at(c.ins[i].value()); };
-    switch (c.kind) {
-      case CellKind::Constant: return (c.param & 1u) != 0 ? mgr_.one() : mgr_.zero();
-      case CellKind::Not: return mgr_.bnot(in(0));
-      case CellKind::Buf: return in(0);
-      case CellKind::And: return mgr_.band(in(0), in(1));
-      case CellKind::Or: return mgr_.bor(in(0), in(1));
-      case CellKind::Xor: return mgr_.bxor(in(0), in(1));
-      case CellKind::Nand: return mgr_.bnot(mgr_.band(in(0), in(1)));
-      case CellKind::Nor: return mgr_.bnot(mgr_.bor(in(0), in(1)));
-      case CellKind::Xnor: return mgr_.bnot(mgr_.bxor(in(0), in(1)));
-      case CellKind::Eq: return mgr_.bnot(mgr_.bxor(in(0), in(1)));
-      case CellKind::Lt: return mgr_.band(mgr_.bnot(in(0)), in(1));
-      // 1-bit modular add/sub are XOR.
-      case CellKind::Add:
-      case CellKind::Sub: return mgr_.bxor(in(0), in(1));
-      case CellKind::Mux2: return mgr_.ite(in(0), in(2), in(1));
-      case CellKind::IsoAnd: return mgr_.band(in(0), in(1));
-      case CellKind::IsoOr: return mgr_.bor(in(0), mgr_.bnot(in(1)));
-      default: break;
-    }
-    OPISO_REQUIRE(false, "NetGrounder::combine on non-expandable cell");
-    return mgr_.zero();
-  }
-
-  LintContext& ctx_;
-  BddManager& mgr_;
-  std::unordered_map<std::uint32_t, BddRef> net_memo_;
-  std::unordered_map<std::uint32_t, BddRef> expr_memo_;
-};
-
-/// One satisfying assignment of f over its support, rendered with net
-/// names ("sel=0, en1=1"). At most `max_vars` variables are printed.
-std::string render_counterexample(BddManager& mgr, const NetVarMap& vars, const Netlist& nl,
-                                  BddRef f, std::size_t max_vars = 6) {
-  std::string s;
-  BddRef cur = f;
-  std::size_t printed = 0;
-  for (BoolVar v : mgr.support(f)) {
-    const BddRef hi = mgr.restrict_var(cur, v, true);
-    const bool val = !mgr.is_zero(hi);
-    cur = val ? hi : mgr.restrict_var(cur, v, false);
-    if (printed++ >= max_vars) {
-      s += ", ...";
-      break;
-    }
-    if (!s.empty()) s += ", ";
-    s += nl.net(vars.net_of(v)).name + "=" + (val ? "1" : "0");
-  }
-  return s.empty() ? "any assignment" : s;
-}
 
 // -------------------------------------------------------------- dead_logic
 class DeadLogicPass final : public LintPass {
@@ -252,20 +71,23 @@ class DeadLogicPass final : public LintPass {
     // observability function is constant 0 (e.g. a mux select tied so
     // the module's leg is never chosen).
     const ActivationAnalysis& act = ctx.activation();
-    BddManager mgr(ctx.options().bdd);
-    NetGrounder grounder(ctx, mgr);
+    NetStrash g(nl, ctx.pool(), ctx.vars(), ctx.options().bdd);
+    std::vector<std::pair<CellId, Lit>> queries;
     for (CellId id : nl.cell_ids()) {
       const Cell& c = nl.cell(id);
       if (!cell_kind_is_arith(c.kind) || !c.out.valid() || !net_live[c.out.value()]) continue;
       const ExprRef obs = act.obs[c.out.value()];
-      bool dead = ctx.pool().is_const0(obs);
-      if (!dead && !ctx.pool().is_const1(obs)) {
-        try {
-          dead = mgr.is_zero(grounder.of_expr(obs));
-        } catch (const ResourceError& e) {
-          note = std::string("observability refinement degraded: ") + e.what();
-          continue;
-        }
+      if (ctx.pool().is_const1(obs)) continue;
+      queries.emplace_back(id, ctx.pool().is_const0(obs) ? kLitZero : g.of_expr(obs));
+    }
+    for (const auto& [id, obs] : queries) {
+      const Cell& c = nl.cell(id);
+      bool dead = false;
+      try {
+        dead = g.is_zero(obs);
+      } catch (const ResourceError& e) {
+        note = std::string("observability refinement degraded: ") + e.what();
+        continue;
       }
       if (!dead) continue;
       Finding f;
@@ -306,19 +128,29 @@ class IsolationSoundnessPass final : public LintPass {
     }
     if (groups.empty()) return;
 
+    // Ground every obligation first: obs ∧ ¬AS must be constant 0.
+    // Grounding expands through the 1-bit control logic, so the
+    // synthesized AS logic and the derived observability function meet
+    // in one variable space instead of behind opaque variables.
     const ActivationAnalysis& act = ctx.activation();
-    BddManager mgr(ctx.options().bdd);
-    NetGrounder grounder(ctx, mgr);
-
+    NetStrash g(nl, ctx.pool(), ctx.vars(), ctx.options().bdd);
+    std::vector<Lit> violations;
     for (const auto& [key, banks] : groups) {
-      const CellId consumer{key.first};
-      const NetId as_net{key.second};
-      const Cell& cons = nl.cell(consumer);
+      const Cell& cons = nl.cell(CellId{key.first});
       // The invariant guards the *module output*: when AS = 0 the
       // consumer's result must be unobservable this cycle, otherwise the
       // bank is forcing wrong operand values into live logic.
       const NetId guarded = cons.out.valid() ? cons.out : nl.cell(banks.front()).out;
-      const ExprRef obs = act.obs[guarded.value()];
+      const Lit obs = g.of_expr(act.obs[guarded.value()]);
+      violations.push_back(g.strash().land(obs, g.of_net(NetId{key.second}) ^ 1));
+    }
+
+    auto violation = violations.begin();
+    for (const auto& [key, banks] : groups) {
+      const Lit lit = *violation++;
+      const CellId consumer{key.first};
+      const NetId as_net{key.second};
+      const Cell& cons = nl.cell(consumer);
 
       auto finding = [&](ErrCode code, Severity severity, std::string message) {
         Finding f;
@@ -333,14 +165,11 @@ class IsolationSoundnessPass final : public LintPass {
       };
 
       try {
-        const BddRef obs_bdd = grounder.of_expr(obs);
-        const BddRef as_bdd = grounder.of_net(as_net);
-        if (mgr.implies(obs_bdd, as_bdd)) continue;
-        const BddRef violation = mgr.band(obs_bdd, mgr.bnot(as_bdd));
+        if (g.is_zero(lit)) continue;
         finding(ErrCode::LintIsolationUnsound, Severity::Error,
                 "isolation of '" + cons.name + "' via AS '" + nl.net(as_net).name +
                     "' is unsound: the output is observable while AS = 0 (e.g. " +
-                    render_counterexample(mgr, ctx.vars(), nl, violation) + ")");
+                    g.counterexample(lit) + ")");
       } catch (const ResourceError& e) {
         finding(ErrCode::LintIsolationUnproven, Severity::Warning,
                 "soundness of isolating '" + cons.name + "' via AS '" + nl.net(as_net).name +

@@ -21,7 +21,7 @@ struct GateBuilder {
     if (!const1.valid()) const1 = g.add_const("c1", 1, 1);
     return const1;
   }
-  std::string name() { return "g" + std::to_string(counter++); }
+  std::string name() { return 'g' + std::to_string(counter++); }
 
   NetId bin(CellKind kind, NetId a, NetId b) { return g.add_binop(kind, name(), a, b); }
   NetId un(CellKind kind, NetId a) { return g.add_unop(kind, name(), a); }
@@ -70,7 +70,7 @@ GateLevelResult lower_to_gates(const Netlist& nl) {
   nl.validate();
   GateLevelResult res;
   res.netlist.set_name(nl.name() + "_gates");
-  GateBuilder gb{res.netlist};
+  GateBuilder gb{res.netlist, 0, {}, {}};
 
   auto bits_of = [&](NetId old_net) -> std::vector<NetId>& {
     auto it = res.bits.find(old_net.value());

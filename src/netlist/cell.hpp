@@ -98,23 +98,6 @@ inline constexpr int kNumCellKinds = static_cast<int>(CellKind::IsoLatch) + 1;
   return kind == CellKind::IsoAnd || kind == CellKind::IsoOr || kind == CellKind::IsoLatch;
 }
 
-/// True for simple gates/buffers (used by the gate-level power model).
-[[nodiscard]] constexpr bool cell_kind_is_gate(CellKind kind) {
-  switch (kind) {
-    case CellKind::Not:
-    case CellKind::Buf:
-    case CellKind::And:
-    case CellKind::Or:
-    case CellKind::Xor:
-    case CellKind::Nand:
-    case CellKind::Nor:
-    case CellKind::Xnor:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Conventional port names per kind, used by the text format and error
 /// messages: e.g. Mux2 -> {"S","A","B"}, Reg -> {"D","EN"}.
 [[nodiscard]] std::string_view cell_port_name(CellKind kind, int port);

@@ -27,6 +27,5 @@ struct NetlistStats {
 /// GraphViz dot rendering; arithmetic modules are boxed, registers are
 /// double-boxed, isolation cells are shaded.
 void write_dot(std::ostream& os, const Netlist& nl);
-[[nodiscard]] std::string netlist_to_dot(const Netlist& nl);
 
 }  // namespace opiso

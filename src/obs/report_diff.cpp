@@ -118,7 +118,7 @@ class Differ {
               double allowed = 0.0) {
     if (full()) return;
     entries_.push_back(DiffEntry{join_path(path_), std::move(kind), std::move(av),
-                                 std::move(bv), delta, allowed});
+                                 std::move(bv), delta, allowed, ""});
     // A diff on a rule-less path gets a hint at the glob that almost
     // covered it (schema mismatches excluded: no rule is expected
     // there, the documents are simply different artifacts).

@@ -31,7 +31,7 @@ std::string sanitize(std::string_view name) {
   std::string out;
   out.reserve(name.size());
   for (char c : name) out.push_back(std::isspace(static_cast<unsigned char>(c)) ? '_' : c);
-  if (out.empty()) out = "_";
+  if (out.empty()) out = '_';
   return out;
 }
 

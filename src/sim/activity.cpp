@@ -4,27 +4,6 @@
 
 namespace opiso {
 
-BoolVar NetVarMap::var_of(const Netlist& nl, NetId net) {
-  OPISO_REQUIRE(nl.net(net).width == 1, "NetVarMap: only 1-bit nets can be Boolean variables");
-  if (var_by_net_.size() < nl.num_nets()) var_by_net_.resize(nl.num_nets(), kNoVar);
-  BoolVar& slot = var_by_net_[net.value()];
-  if (slot == kNoVar) {
-    slot = static_cast<BoolVar>(nets_.size());
-    nets_.push_back(net);
-  }
-  return slot;
-}
-
-NetId NetVarMap::net_of(BoolVar v) const {
-  OPISO_REQUIRE(v < nets_.size(), "NetVarMap: unknown variable");
-  return nets_[v];
-}
-
-BoolVar NetVarMap::try_var_of(NetId net) const {
-  if (net.value() >= var_by_net_.size()) return kNoVar;
-  return var_by_net_[net.value()];
-}
-
 double ActivityStats::toggle_rate(NetId net) const {
   OPISO_REQUIRE(cycles > 0, "toggle_rate: no simulated cycles");
   OPISO_REQUIRE(net.value() < toggles.size(), "toggle_rate: unknown net");

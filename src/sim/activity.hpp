@@ -17,30 +17,12 @@
 #include <vector>
 
 #include "boolfn/expr.hpp"
+#include "boolfn/strash.hpp"  // NetVarMap
 #include "netlist/netlist.hpp"
 #include "obs/confidence.hpp"
 #include "obs/coverage.hpp"
 
 namespace opiso {
-
-/// Maps 1-bit nets to Boolean variables (shared by activation derivation,
-/// probes, and activation-logic synthesis). Variables are allocated on
-/// first use; the mapping is stable for the lifetime of the object.
-class NetVarMap {
- public:
-  /// Variable for a (1-bit) net; allocates on first use.
-  BoolVar var_of(const Netlist& nl, NetId net);
-  /// Net of an allocated variable.
-  [[nodiscard]] NetId net_of(BoolVar v) const;
-  [[nodiscard]] std::size_t num_vars() const { return nets_.size(); }
-  /// Variable for the net, or kNoVar if never allocated.
-  [[nodiscard]] BoolVar try_var_of(NetId net) const;
-  static constexpr BoolVar kNoVar = 0xFFFFFFFFu;
-
- private:
-  std::vector<NetId> nets_;                 ///< var -> net
-  std::vector<BoolVar> var_by_net_;         ///< net.value() -> var (kNoVar = none)
-};
 
 struct ActivityStats {
   std::uint64_t cycles = 0;

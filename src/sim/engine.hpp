@@ -20,10 +20,6 @@ namespace opiso {
 /// per netlist pass (see sim/parallel_sim.hpp).
 enum class SimEngineKind { Scalar, Parallel };
 
-[[nodiscard]] constexpr const char* sim_engine_name(SimEngineKind kind) {
-  return kind == SimEngineKind::Scalar ? "scalar" : "parallel";
-}
-
 /// Anything probes can be registered on. add_probe returns the probe
 /// index used with ActivityStats::probe_probability and friends.
 class ProbeHost {

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "boolfn/strash.hpp"
 #include "lower/gate_level.hpp"
 #include "netlist/traversal.hpp"
 #include "obs/metrics.hpp"
@@ -25,160 +26,6 @@ unsigned bit_index(const std::string& name) {
   }
   return v;
 }
-
-// ------------------------------------------------------------- strash
-
-/// Node index * 2 + complement bit. Node 0 is the constant 0.
-using Lit = std::uint32_t;
-constexpr Lit kZero = 0;
-constexpr Lit kOne = 1;
-
-/// Structurally hashed AND/XOR graph with complemented edges, shared by
-/// both designs. Nodes are created after their fanins, so node order is
-/// a topological order.
-class Strash {
- public:
-  enum class Op : std::uint8_t { Const, Var, And, Xor };
-  struct Node {
-    Op op;
-    Lit a;  ///< first fanin; the variable's index for Op::Var
-    Lit b;
-  };
-  struct Var {
-    std::string name;
-    unsigned bit;  ///< position in the interleaved BDD order
-  };
-
-  Strash() { nodes_.push_back({Op::Const, 0, 0}); }
-
-  /// The variable called `name`, created on first use.
-  Lit var(const std::string& name, unsigned bit) {
-    auto [it, inserted] = vars_by_name_.emplace(name, kZero);
-    if (inserted) {
-      it->second = node(Op::Var, static_cast<Lit>(vars_.size()), 0);
-      vars_.push_back({name, bit});
-    }
-    return it->second;
-  }
-
-  Lit land(Lit a, Lit b) {
-    if (a > b) std::swap(a, b);
-    if (a == kZero || (a ^ 1) == b) return kZero;
-    if (a == kOne) return b;
-    if (a == b) return a;
-    return hashed(Op::And, a, b);
-  }
-  Lit lor(Lit a, Lit b) { return land(a ^ 1, b ^ 1) ^ 1; }
-  Lit lxor(Lit a, Lit b) {
-    const Lit neg = (a ^ b) & 1;
-    a &= ~Lit{1};
-    b &= ~Lit{1};
-    if (a > b) std::swap(a, b);
-    if (a == b) return neg;
-    if (a == kZero) return b ^ neg;
-    return hashed(Op::Xor, a, b) ^ neg;
-  }
-  /// s ? t : e
-  Lit mux(Lit s, Lit t, Lit e) {
-    if (t == e) return t;
-    return lor(land(s, t), land(s ^ 1, e));
-  }
-
-  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  [[nodiscard]] const std::vector<Var>& vars() const { return vars_; }
-
- private:
-  Lit node(Op op, Lit a, Lit b) {
-    nodes_.push_back({op, a, b});
-    return static_cast<Lit>((nodes_.size() - 1) * 2);
-  }
-  Lit hashed(Op op, Lit a, Lit b) {
-    const std::uint64_t key = (std::uint64_t{op == Op::Xor} << 63) | (std::uint64_t{a} << 32) | b;
-    auto [it, inserted] = table_.emplace(key, kZero);
-    if (inserted) it->second = node(op, a, b);
-    return it->second;
-  }
-
-  std::vector<Node> nodes_;
-  std::vector<Var> vars_;
-  std::unordered_map<std::string, Lit> vars_by_name_;
-  std::unordered_map<std::uint64_t, Lit> table_;
-};
-
-/// BDDs of strash literals, built on demand and memoized per literal.
-/// The package has no complement edges, so a complemented And literal is
-/// built by De Morgan from its fanins' opposite literals (the OR gates of
-/// lowered adders and muxes then cost no negation); an Xor copies its
-/// second fanin once through bnot, unless both fanins are equal.
-class LazyBdd {
- public:
-  LazyBdd(const Strash& s, const BddBudget& budget)
-      : s_(s), mgr_(budget), memo_(2 * s.nodes().size(), BddRef::invalid()) {
-    // One interleaved order over every variable of both designs and the
-    // cuts: by bit index, then by name.
-    const auto& vars = s.vars();
-    std::vector<std::uint32_t> order(vars.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-      if (vars[x].bit != vars[y].bit) return vars[x].bit < vars[y].bit;
-      return vars[x].name < vars[y].name;
-    });
-    level_.resize(vars.size());
-    for (std::size_t i = 0; i < order.size(); ++i) level_[order[i]] = static_cast<BoolVar>(i);
-  }
-
-  BddRef of(Lit root) {
-    std::vector<Lit> stack{root};
-    while (!stack.empty()) {
-      const Lit l = stack.back();
-      if (memo_[l].valid()) {
-        stack.pop_back();
-        continue;
-      }
-      const Strash::Node& nd = s_.nodes()[l >> 1];
-      const bool neg = l & 1;
-      if (nd.op == Strash::Op::Const) {
-        memo_[l] = neg ? mgr_.one() : mgr_.zero();
-      } else if (nd.op == Strash::Op::Var) {
-        memo_[l] = neg ? mgr_.nvar(level_[nd.a]) : mgr_.var(level_[nd.a]);
-      } else {
-        // And: a∧b, or ¬a∨¬b when negated. Xor: ite(a, ¬b, b), or
-        // ite(a, b, ¬b) when negated, with ¬b copied from b's BDD.
-        const bool is_and = nd.op == Strash::Op::And;
-        const Lit x = nd.a ^ (is_and && neg);
-        const Lit y = nd.b ^ (is_and && neg);
-        bool ready = true;
-        for (Lit need : {x, y}) {
-          if (!memo_[need].valid()) {
-            stack.push_back(need);
-            ready = false;
-          }
-        }
-        if (!ready) continue;
-        const BddRef f = memo_[x], g = memo_[y];
-        if (is_and) {
-          memo_[l] = neg ? mgr_.bor(f, g) : mgr_.band(f, g);
-        } else if (f == g) {
-          memo_[l] = neg ? mgr_.one() : mgr_.zero();
-        } else {
-          BddRef& not_g = memo_[y ^ 1];
-          if (!not_g.valid()) not_g = mgr_.bnot(g);
-          memo_[l] = neg ? mgr_.ite(f, g, not_g) : mgr_.ite(f, not_g, g);
-        }
-      }
-      stack.pop_back();
-    }
-    return memo_[root];
-  }
-
-  [[nodiscard]] BddManager& mgr() { return mgr_; }
-
- private:
-  const Strash& s_;
-  BddManager mgr_;
-  std::vector<BddRef> memo_;
-  std::vector<BoolVar> level_;
-};
 
 // --------------------------------------------------------- cut points
 
@@ -288,8 +135,8 @@ EquivResult unknown(std::string reason) {
 
 /// A net override of the cut model: `v` in A, ite(as, v, w) in B.
 struct Override {
-  Lit v = kZero;
-  Lit w = kZero;
+  Lit v = kLitZero;
+  Lit w = kLitZero;
   NetId as;  ///< lowered activation bit (B only)
 };
 
@@ -326,55 +173,25 @@ class Engine {
 std::vector<Lit> Engine::sweep(const GateLevelResult& g, const char* side, Strash& s,
                                const std::unordered_map<std::uint32_t, Override>& overrides) const {
   const Netlist& nl = g.netlist;
-  std::vector<Lit> lit(nl.num_nets(), kZero);
+  std::vector<Lit> lit(nl.num_nets(), kLitZero);
   for (CellId id : topological_order(nl)) {
     const Cell& c = nl.cell(id);
     if (!c.out.valid()) continue;
-    auto in = [&](int p) { return lit[c.ins[static_cast<std::size_t>(p)].value()]; };
     const std::string& name = nl.net(c.out).name;
-    Lit f = kZero;
-    switch (c.kind) {
-      case CellKind::PrimaryInput:
-      case CellKind::Reg:
-        f = s.var(name, bit_index(name));
-        break;
-      case CellKind::Latch:
-        // An isolation latch bit outside every cut: free, per design.
-        f = s.var(std::string(side) + "@" + name, bit_index(name));
-        break;
-      case CellKind::Constant:
-        f = (c.param & 1) ? kOne : kZero;
-        break;
-      case CellKind::Buf:
-        f = in(0);
-        break;
-      case CellKind::Not:
-        f = in(0) ^ 1;
-        break;
-      case CellKind::And:
-        f = s.land(in(0), in(1));
-        break;
-      case CellKind::Or:
-        f = s.lor(in(0), in(1));
-        break;
-      case CellKind::Xor:
-        f = s.lxor(in(0), in(1));
-        break;
-      case CellKind::Nand:
-        f = s.land(in(0), in(1)) ^ 1;
-        break;
-      case CellKind::Nor:
-        f = s.lor(in(0), in(1)) ^ 1;
-        break;
-      case CellKind::Xnor:
-        f = s.lxor(in(0), in(1)) ^ 1;
-        break;
-      case CellKind::Mux2:
-        f = s.mux(in(0), in(2), in(1));
-        break;
-      default:
-        throw NetlistError("equiv: unexpected cell kind '" +
-                           std::string(cell_kind_name(c.kind)) + "' in lowered netlist");
+    Lit f = kLitZero;
+    if (c.kind == CellKind::PrimaryInput || c.kind == CellKind::Reg) {
+      f = s.var(name);
+    } else if (c.kind == CellKind::Latch) {
+      // An isolation latch bit outside every cut: free, per design.
+      f = s.var(std::string(side) + "@" + name);
+    } else {
+      f = cell_literal(s, c.kind, c.param, [&](int p) {
+        return lit[c.ins[static_cast<std::size_t>(p)].value()];
+      });
+      if (f == kNoLit) {
+        throw NetlistError("equiv: unexpected cell kind '" + std::string(cell_kind_name(c.kind)) +
+                           "' in lowered netlist");
+      }
     }
     if (auto it = overrides.find(c.out.value()); it != overrides.end()) {
       const Override& o = it->second;
@@ -404,8 +221,8 @@ EquivResult Engine::pass(const std::vector<Cut>& cuts, const BddBudget& budget) 
       const NetId as = gb_.bits_of(cut.as).at(0);
       for (std::size_t i = 0; i < bits_b.size(); ++i) {
         const std::string bit = cut.name + "." + std::to_string(i);
-        const Lit v = s.var("v@" + bit, static_cast<unsigned>(i));
-        const Lit w = s.var("w@" + bit, static_cast<unsigned>(i));
+        const Lit v = s.var("v@" + bit);
+        const Lit w = s.var("w@" + bit);
         over_a[bits_a[i].value()] = {v, w, NetId::invalid()};
         over_b[bits_b[i].value()] = {v, w, as};
       }
@@ -444,7 +261,7 @@ EquivResult Engine::pass(const std::vector<Cut>& cuts, const BddBudget& budget) 
       auto it = regs_b.find(name);
       if (it == regs_b.end()) {
         obligations.push_back(
-            {kOne, "register bit '" + name + "' missing from transformed design", false});
+            {kLitOne, "register bit '" + name + "' missing from transformed design", false});
         break;
       }
       ++matched;
@@ -457,12 +274,12 @@ EquivResult Engine::pass(const std::vector<Cut>& cuts, const BddBudget& budget) 
            "register bit '" + name + "' can load a different value while enabled", true});
     }
     if (matched != regs_b.size()) {
-      obligations.push_back({kOne, "transformed design has extra registers", false});
+      obligations.push_back({kLitOne, "transformed design has extra registers", false});
     }
 
     // --- primary outputs, by position -----------------------------------
     if (na.primary_outputs().size() != nb.primary_outputs().size()) {
-      obligations.push_back({kOne, "primary output counts differ", false});
+      obligations.push_back({kLitOne, "primary output counts differ", false});
     } else {
       for (std::size_t i = 0; i < na.primary_outputs().size(); ++i) {
         const NetId oa = na.cell(na.primary_outputs()[i]).ins[0];
@@ -479,7 +296,19 @@ EquivResult Engine::pass(const std::vector<Cut>& cuts, const BddBudget& budget) 
   OPISO_SPAN("verify.bdd");
   EquivResult res;
   res.cut_points = cuts.size();
-  LazyBdd bdd(s, budget);
+  // One interleaved order over every variable of both designs and the
+  // cuts: by bit index, then by name.
+  const std::vector<std::string>& vars = s.vars();
+  std::vector<unsigned> bit(vars.size());
+  std::transform(vars.begin(), vars.end(), bit.begin(), bit_index);
+  std::vector<std::uint32_t> order(vars.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+    return bit[x] != bit[y] ? bit[x] < bit[y] : vars[x] < vars[y];
+  });
+  std::vector<BoolVar> level(vars.size());
+  for (std::size_t i = 0; i < order.size(); ++i) level[order[i]] = static_cast<BoolVar>(i);
+  LazyBdd bdd(s, std::move(level), budget);
   std::uint64_t by_strash = 0, by_bdd = 0;
   const auto flush = [&] {
     obs::metrics().counter("verify.strash_discharged").add(by_strash);
@@ -488,17 +317,23 @@ EquivResult Engine::pass(const std::vector<Cut>& cuts, const BddBudget& budget) 
   };
   for (const Obligation& ob : obligations) {
     if (ob.counted) ++res.obligations_checked;
-    if (ob.lit == kZero) {
+    if (ob.lit == kLitZero) {
       ++by_strash;
       continue;
     }
-    if (ob.lit != kOne && bdd.mgr().is_zero(bdd.of(ob.lit))) {
+    if (ob.lit != kLitOne && bdd.mgr().is_zero(bdd.of(ob.lit))) {
       ++by_bdd;
       continue;
     }
     flush();
     res.verdict = EquivResult::Verdict::NotEquivalent;
     res.reason = ob.reason;
+    // Only the exact pass answers NotEquivalent: an assignment to cut
+    // variables would prove nothing.
+    if (cuts.empty()) {
+      res.counterexample = render_counterexample(
+          bdd.mgr(), bdd.of(ob.lit), [&](BoolVar v) { return vars[order[v]]; }, SIZE_MAX);
+    }
     return res;
   }
   flush();

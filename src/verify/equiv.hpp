@@ -6,7 +6,9 @@
 // simulating it. Both designs are lowered to gates and strashed into
 // one structurally hashed AND/XOR graph over a shared variable set
 // (primary-input bits and register output bits, matched by name — the
-// transform never renames either).
+// transform never renames either). The graph, its lazily built BDDs and
+// the cell-kind semantics come from boolfn/strash.hpp, the grounding
+// engine lint's soundness and dead-logic proofs use too.
 //
 // Obligations (induction over cycles, equal reset states):
 //   * every register pair loads under identical enables,
@@ -43,7 +45,8 @@
 //
 // The cut model over-approximates, so a failed cut pass proves nothing.
 // The checker then reruns the same engine with no cuts: the exact
-// monolithic proof, and the only path that answers NotEquivalent. The
+// monolithic proof, and the only path that answers NotEquivalent, with
+// a counterexample drawn from the failing obligation's BDD. The
 // exact pass needs latch-free designs, so a latch-bearing pair whose cut
 // pass fails — and any design with a plain (non-isolation) Latch — is
 // answered Unknown, with the reason.
@@ -63,6 +66,11 @@ struct EquivResult {
   /// First failing obligation (NotEquivalent), or why the checker could
   /// not decide (Unknown).
   std::string reason;
+  /// NotEquivalent only: a primary-input / register-bit assignment under
+  /// which the failing obligation fails, as "a.0=1, r.3=0" over lowered
+  /// bit names (render_counterexample, boolfn/strash.hpp). Unnamed bits
+  /// are free. Empty for every other verdict.
+  std::string counterexample;
   std::size_t obligations_checked = 0;
   std::size_t bdd_nodes = 0;  ///< manager size of the deciding pass
   std::size_t cut_points = 0; ///< isolated modules cut in the deciding pass

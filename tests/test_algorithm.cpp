@@ -92,13 +92,17 @@ TEST(Algorithm, OnePerBlockPerIteration) {
     EXPECT_LE(log.num_isolated, 4u);
     std::set<int> blocks;
     for (const CandidateEvaluation& ev : log.evaluations) {
-      if (ev.isolated_now) EXPECT_TRUE(blocks.insert(ev.block).second);
+      if (ev.isolated_now) {
+        EXPECT_TRUE(blocks.insert(ev.block).second);
+      }
     }
   }
   // Stage 2 has several candidates: isolating them all takes > 1 iteration.
   std::size_t total = 0;
   for (const IterationLog& log : res.iterations) total += log.num_isolated;
-  if (total > 4) EXPECT_GT(res.iterations.size(), 1u);
+  if (total > 4) {
+    EXPECT_GT(res.iterations.size(), 1u);
+  }
 }
 
 TEST(Algorithm, TerminatesWhenNoImprovement) {

@@ -55,15 +55,6 @@ TEST_F(BddTest, RestrictIsCofactor) {
   EXPECT_TRUE(m.equal(m.restrict_var(f, 0, false), x2));
 }
 
-TEST_F(BddTest, Quantification) {
-  BddRef f = m.band(x0, x1);
-  EXPECT_TRUE(m.equal(m.exists(f, 0), x1));
-  EXPECT_TRUE(m.is_zero(m.forall(f, 0)));
-  BddRef g = m.bor(x0, x1);
-  EXPECT_TRUE(m.is_one(m.exists(g, 0)));
-  EXPECT_TRUE(m.equal(m.forall(g, 0), x1));
-}
-
 TEST_F(BddTest, Implication) {
   EXPECT_TRUE(m.implies(m.band(x0, x1), x0));
   EXPECT_FALSE(m.implies(x0, m.band(x0, x1)));
@@ -79,19 +70,10 @@ TEST_F(BddTest, ProbabilityIndependentVars) {
   EXPECT_NEAR(m.probability(m.bnot(x0), p), 0.7, 1e-12);
 }
 
-TEST_F(BddTest, SatCount) {
-  EXPECT_DOUBLE_EQ(m.sat_count(m.band(x0, x1), 3), 2.0);   // x0x1{x2}
-  EXPECT_DOUBLE_EQ(m.sat_count(m.bor(x0, x1), 2), 3.0);
-  EXPECT_DOUBLE_EQ(m.sat_count(m.one(), 4), 16.0);
-  EXPECT_DOUBLE_EQ(m.sat_count(m.zero(), 4), 0.0);
-}
-
-TEST_F(BddTest, SupportAndSize) {
+TEST_F(BddTest, Support) {
   BddRef f = m.bor(m.band(x0, x1), x2);
   const auto sup = m.support(f);
   EXPECT_EQ(sup, (std::vector<BoolVar>{0, 1, 2}));
-  EXPECT_GE(m.size(f), 3u);
-  EXPECT_EQ(m.size(m.one()), 0u);
 }
 
 TEST_F(BddTest, FromExprToExprRoundTrip) {

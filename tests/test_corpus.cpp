@@ -138,7 +138,7 @@ struct XorShift64 {
 // the lexer/elaborator's interesting region instead of dying uniformly
 // in the first token.
 std::string mutate(std::string text, XorShift64& rng) {
-  if (text.empty()) text = " ";
+  if (text.empty()) text = ' ';
   const unsigned ops = 1 + static_cast<unsigned>(rng.next() % 4);
   for (unsigned op = 0; op < ops; ++op) {
     switch (rng.next() % 5) {
@@ -150,7 +150,7 @@ std::string mutate(std::string text, XorShift64& rng) {
         break;
       case 2:  // truncate
         text.resize(rng.next() % (text.size() + 1));
-        if (text.empty()) text = "(";
+        if (text.empty()) text = '(';
         break;
       case 3: {  // duplicate a slice (breeds duplicate definitions)
         const std::size_t from = rng.next() % text.size();

@@ -83,7 +83,7 @@ TEST(LintCombLoop, LargeRingDoesNotOverflowTheStack) {
   const NetId first = nl.add_unop(CellKind::Buf, "b0", x);
   NetId cur = first;
   for (int i = 1; i < 20000; ++i) {
-    cur = nl.add_unop(CellKind::Buf, "b" + std::to_string(i), cur);
+    cur = nl.add_unop(CellKind::Buf, 'b' + std::to_string(i), cur);
   }
   nl.reconnect_input(nl.net(first).driver, 0, cur);
   nl.add_output("out", cur);
@@ -290,6 +290,11 @@ TEST(LintSoundness, CatchesMutatedActivationFunction) {
   EXPECT_EQ(f->severity, Severity::Error);
   EXPECT_NE(f->message.find("unsound"), std::string::npos);
   EXPECT_NE(f->message.find("AS"), std::string::npos);
+  // Pinned byte for byte, counterexample included: the BDD order (and
+  // so the assignment drawn) follows the NetVarMap allocation order.
+  EXPECT_EQ(f->message,
+            "isolation of 'b:a1' via AS 'as_bug' is unsound: the output is observable while "
+            "AS = 0 (e.g. G1=1, G0=1, S1=1, S0=1, S2=1)");
   EXPECT_TRUE(r.fails(Severity::Error));
 
   const EquivResult eq = check_isolation_equivalence(make_fig1(4), d.nl);
@@ -297,10 +302,24 @@ TEST(LintSoundness, CatchesMutatedActivationFunction) {
 }
 
 TEST(LintSoundness, BlownBudgetDegradesToUnproven) {
-  IsolatedFig1 d;
+  // fig1 isolated with its activation function in Shannon-expanded form
+  // (a BDD round trip): sound, but the AS logic no longer hashes like
+  // the observability function, so the proof needs BDDs.
+  Netlist nl = make_fig1(4);
+  ExprPool pool;
+  NetVarMap vars;
+  const ActivationAnalysis aa = derive_activation(nl, pool, vars);
+  const CellId a1 = nl.net(nl.find_net("a1")).driver;
+  BddManager mgr;
+  const ExprRef shannon = mgr.to_expr(pool, mgr.from_expr(pool, aa.activation_of(nl, a1)));
+  (void)isolate_module(nl, pool, vars, a1, shannon, IsolationStyle::And);
+  nl.validate();
+  LintReport proven = run_lint(nl, only({"isolation_soundness"}));
+  EXPECT_TRUE(proven.findings.empty());
+
   LintOptions opt = only({"isolation_soundness"});
   opt.bdd = BddBudget{8, 0};  // too small for any real proof
-  LintReport r = run_lint(d.nl, opt);
+  LintReport r = run_lint(nl, opt);
   const Finding* f = find_code(r, ErrCode::LintIsolationUnproven);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->severity, Severity::Warning);

@@ -188,7 +188,9 @@ TEST_P(RewriteFuzz, OriginalOptimizedRewrittenAgree) {
 
   // Formal check where tractable: a rewritten result was already proven
   // inside the pass; re-prove against the optimizer output too.
-  if (r.rewritten) EXPECT_TRUE(r.verified);
+  if (r.rewritten) {
+    EXPECT_TRUE(r.verified);
+  }
   BddBudget budget;
   budget.max_nodes = 1u << 20;
   try {

@@ -4,10 +4,16 @@
 // cut-point pass.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <regex>
+#include <sstream>
+
 #include "designs/designs.hpp"
 #include "frontend/rtl_parser.hpp"
 #include "isolation/activation.hpp"
 #include "isolation/transform.hpp"
+#include "lower/gate_level.hpp"
+#include "netlist/traversal.hpp"
 #include "verify/equiv.hpp"
 
 namespace opiso {
@@ -239,6 +245,81 @@ TEST(VerifyCut, AgreesWithExact) {
   EXPECT_GT(random_cuts, 24u);
 }
 
+/// Values of every net of a lowered design after one combinational
+/// evaluation: primary-input and register bits from `assign` (0 when
+/// unnamed), every gate through eval_comb_cell.
+std::vector<std::uint64_t> eval_lowered(const Netlist& nl,
+                                        const std::map<std::string, bool>& assign) {
+  std::vector<std::uint64_t> v(nl.num_nets(), 0);
+  for (CellId id : topological_order(nl)) {
+    const Cell& c = nl.cell(id);
+    if (!c.out.valid()) continue;
+    std::uint64_t x = 0;
+    if (c.kind == CellKind::PrimaryInput || c.kind == CellKind::Reg) {
+      const auto it = assign.find(nl.net(c.out).name);
+      x = it != assign.end() && it->second ? 1 : 0;
+    } else if (c.kind == CellKind::Constant) {
+      x = c.param;
+    } else {
+      x = eval_comb_cell(c.kind, c.param, [&](int p) {
+        return v[c.ins[static_cast<std::size_t>(p)].value()];
+      });
+    }
+    v[c.out.value()] = x & 1;
+  }
+  return v;
+}
+
+CellId reg_bit(const Netlist& nl, const std::string& name) {
+  const NetId q = nl.find_net(name);
+  EXPECT_TRUE(q.valid()) << name;
+  return nl.net(q).driver;
+}
+
+/// A NotEquivalent verdict must come with a counterexample under which
+/// its named obligation fails when both lowered designs are evaluated
+/// for one cycle. One that does not is a checker bug.
+void expect_counterexample_confirmed(const Netlist& original, const Netlist& transformed,
+                                     const EquivResult& res) {
+  ASSERT_EQ(res.verdict, EquivResult::Verdict::NotEquivalent);
+  SCOPED_TRACE(res.reason + " / counterexample: " + res.counterexample);
+  std::map<std::string, bool> assign;
+  std::stringstream ss(res.counterexample);
+  for (std::string item; std::getline(ss, item, ',');) {
+    item.erase(0, item.find_first_not_of(' '));
+    const auto eq = item.find('=');
+    ASSERT_NE(eq, std::string::npos) << "malformed counterexample";
+    assign[item.substr(0, eq)] = item.substr(eq + 1) == "1";
+  }
+  const GateLevelResult ga = lower_to_gates(original);
+  const GateLevelResult gb = lower_to_gates(transformed);
+  const Netlist& na = ga.netlist;
+  const Netlist& nb = gb.netlist;
+  const std::vector<std::uint64_t> va = eval_lowered(na, assign);
+  const std::vector<std::uint64_t> vb = eval_lowered(nb, assign);
+
+  std::smatch m;
+  if (std::regex_search(res.reason, m, std::regex("^primary output bit ([0-9]+) "))) {
+    const std::size_t i = std::stoul(m[1]);
+    const NetId oa = na.cell(na.primary_outputs().at(i)).ins[0];
+    const NetId ob = nb.cell(nb.primary_outputs().at(i)).ins[0];
+    EXPECT_NE(va[oa.value()], vb[ob.value()]);
+  } else if (std::regex_search(res.reason, m,
+                               std::regex("^enable functions differ for register bit '(.+)'$"))) {
+    const Cell& ra = na.cell(reg_bit(na, m[1]));
+    const Cell& rb = nb.cell(reg_bit(nb, m[1]));
+    EXPECT_NE(va[ra.ins[1].value()], vb[rb.ins[1].value()]);
+  } else if (std::regex_search(res.reason, m,
+                               std::regex("^register bit '(.+)' can load a different value"))) {
+    const Cell& ra = na.cell(reg_bit(na, m[1]));
+    const Cell& rb = nb.cell(reg_bit(nb, m[1]));
+    EXPECT_EQ(va[ra.ins[1].value()], 1u);
+    EXPECT_NE(va[ra.ins[0].value()], vb[rb.ins[0].value()]);
+  } else {
+    ADD_FAILURE() << "obligation without a replay: " << res.reason;
+  }
+}
+
 TEST(VerifyCut, NegatedActivationIsNeverProven) {
   // Mutate one isolated module's banks to the complement of their
   // activation signal: the module is then blocked exactly when it is
@@ -274,12 +355,17 @@ TEST(VerifyCut, NegatedActivationIsNeverProven) {
       const EquivResult cut =
           run_equivalence_pass(k.design, c.nl, BddBudget{}, EquivPass::CutPoints);
       EXPECT_EQ(cut.verdict, EquivResult::Verdict::Unknown);
+      EXPECT_TRUE(cut.counterexample.empty());
       if (style != IsolationStyle::Latch) {
         EXPECT_EQ(res.verdict, EquivResult::Verdict::NotEquivalent) << res.reason;
         EXPECT_FALSE(res.fallback_reason.empty());
+        expect_counterexample_confirmed(k.design, c.nl, res);
         const EquivResult exact =
             run_equivalence_pass(k.design, c.nl, BddBudget{}, EquivPass::Exact);
         EXPECT_EQ(exact.verdict, EquivResult::Verdict::NotEquivalent);
+        EXPECT_EQ(exact.counterexample, res.counterexample);
+      } else {
+        EXPECT_TRUE(res.counterexample.empty());
       }
     }
   }
@@ -311,6 +397,7 @@ TEST(VerifyCut, MiswiredBankIsNeverProven) {
                                  ? EquivResult::Verdict::Unknown
                                  : EquivResult::Verdict::NotEquivalent)
           << res.reason;
+      if (style != IsolationStyle::Latch) expect_counterexample_confirmed(original, c.nl, res);
     }
   }
 }

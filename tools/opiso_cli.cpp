@@ -125,7 +125,8 @@ using namespace opiso;
       "  lower      <design> [-o out.rtn]     gate-level expansion\n"
       "  verify     <original> <transformed>  strash + BDD equivalence proof,\n"
       "      cut at isolation banks; prints EQUIVALENT (exit 0), NOT\n"
-      "      EQUIVALENT: <obligation> (exit 1) or UNKNOWN: <reason> (exit 2)\n"
+      "      EQUIVALENT: <obligation> plus a counterexample (exit 1) or\n"
+      "      UNKNOWN: <reason> (exit 2)\n"
       "  lint       <design...>               static analysis; passes: comb_loop,\n"
       "      width, drivers, dead_logic, isolation_soundness, isolation_overhead;\n"
       "      findings carry stable lint.* codes (lint.comb_loop, lint.width,\n"
@@ -1057,7 +1058,8 @@ int run(int argc, char** argv) {
                   << res.bdd_nodes << " BDD nodes)\n";
         break;
       case EquivResult::Verdict::NotEquivalent:
-        std::cout << "NOT EQUIVALENT: " << res.reason << "\n";
+        std::cout << "NOT EQUIVALENT: " << res.reason << "\n  counterexample: "
+                  << res.counterexample << "\n";
         exit_code = 1;
         break;
       case EquivResult::Verdict::Unknown:
