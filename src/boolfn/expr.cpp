@@ -60,6 +60,10 @@ ExprRef ExprPool::ite(ExprRef a, ExprRef b, ExprRef c) {
   return lor(land(a, b), land(lnot(a), c));
 }
 
+ExprRef ExprPool::lxor(ExprRef a, ExprRef b) {
+  return lor(land(a, lnot(b)), land(lnot(a), b));
+}
+
 bool ExprPool::eval(ExprRef r, const std::function<bool(BoolVar)>& value) const {
   const ExprNode& n = node(r);
   switch (n.op) {

@@ -50,6 +50,8 @@ class ExprPool {
   [[nodiscard]] ExprRef lor(ExprRef a, ExprRef b);
   /// a·b + ¬a·c (built from the primitives above).
   [[nodiscard]] ExprRef ite(ExprRef a, ExprRef b, ExprRef c);
+  /// a·¬b + ¬a·b (built from the primitives above).
+  [[nodiscard]] ExprRef lxor(ExprRef a, ExprRef b);
 
   [[nodiscard]] const ExprNode& node(ExprRef r) const;
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }

@@ -125,7 +125,7 @@ bool NetStrash::expandable(const Cell& c) {
     return false;
   }
   // Constant fanins fold, so this probe adds no node.
-  return cell_literal(s_, c.kind, c.param, [](int) { return kLitZero; }) != kNoLit;
+  return cell_function(s_, c.kind, c.param, [](int) { return kLitZero; }).has_value();
 }
 
 Lit NetStrash::of_net(NetId net) {
@@ -155,7 +155,7 @@ Lit NetStrash::of_net(NetId net) {
       }
     }
     if (!ready) continue;
-    net_lit_[n] = cell_literal(s_, drv.kind, drv.param, [&](int p) {
+    net_lit_[n] = *cell_function(s_, drv.kind, drv.param, [&](int p) {
       return net_lit_[drv.ins[static_cast<std::size_t>(p)].value()];
     });
     stack.pop_back();

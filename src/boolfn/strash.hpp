@@ -6,7 +6,8 @@
 // one node, so x ∧ ¬x or x ⊕ x folds to constant 0 with no BDD work.
 // Only the literals that stay open get BDDs, built on demand per
 // literal (LazyBdd) in a variable order the caller chooses.
-// cell_literal() is the one map from cell kinds to strash literals.
+// cell_function() is the one map from cell kinds to Boolean functions,
+// shared by strash literals and ExprPool expressions.
 
 #include <cstdint>
 #include <functional>
@@ -70,6 +71,9 @@ class Strash {
     return hashed(Op::And, a, b);
   }
   Lit lor(Lit a, Lit b) { return land(a ^ 1, b ^ 1) ^ 1; }
+  static Lit lnot(Lit a) { return a ^ 1; }
+  static Lit const0() { return kLitZero; }
+  static Lit const1() { return kLitOne; }
   Lit lxor(Lit a, Lit b) {
     const Lit neg = (a ^ b) & 1;
     a &= ~Lit{1};
@@ -80,7 +84,7 @@ class Strash {
     return hashed(Op::Xor, a, b) ^ neg;
   }
   /// s ? t : e
-  Lit mux(Lit s, Lit t, Lit e) {
+  Lit ite(Lit s, Lit t, Lit e) {
     if (t == e) return t;
     return lor(land(s, t), land(s ^ 1, e));
   }
@@ -102,32 +106,35 @@ class Strash {
   std::unordered_map<std::uint64_t, Lit> table_;
 };
 
-/// The literal of a combinational cell whose nets are all 1 bit wide:
-/// the gates, Mux2 and Constant, plus Eq/Lt/Add/Sub/IsoAnd/IsoOr read at
-/// width 1 (1-bit modular add/sub are XOR). `in(p)` yields input port
-/// p's literal. Every other kind (boundary, state, Mul, shifts) has no
-/// literal: kNoLit, and `in` is not called. With constant fanins the
+/// The Boolean function of a combinational cell whose nets are all 1
+/// bit wide: the gates, Mux2 and Constant, plus Eq/Lt/Add/Sub/IsoAnd/
+/// IsoOr read at width 1 (1-bit modular add/sub are XOR). `alg` is any
+/// Boolean algebra with const0/const1/lnot/land/lor/lxor/ite (Strash
+/// literals, ExprPool expressions); `in(p)` yields input port p's value
+/// in it. Every other kind (boundary, state, Mul, shifts) has no
+/// function: nullopt, and `in` is not called. With constant fanins the
 /// result folds without adding a node.
-template <class In>
-[[nodiscard]] Lit cell_literal(Strash& s, CellKind kind, std::uint64_t param, In&& in) {
+template <class Alg, class In>
+[[nodiscard]] auto cell_function(Alg& alg, CellKind kind, std::uint64_t param, In&& in)
+    -> std::optional<decltype(alg.const0())> {
   switch (kind) {
-    case CellKind::Constant: return (param & 1) != 0 ? kLitOne : kLitZero;
+    case CellKind::Constant: return (param & 1) != 0 ? alg.const1() : alg.const0();
     case CellKind::Buf: return in(0);
-    case CellKind::Not: return in(0) ^ 1;
+    case CellKind::Not: return alg.lnot(in(0));
     case CellKind::And:
-    case CellKind::IsoAnd: return s.land(in(0), in(1));
-    case CellKind::Or: return s.lor(in(0), in(1));
-    case CellKind::IsoOr: return s.lor(in(0), in(1) ^ 1);
+    case CellKind::IsoAnd: return alg.land(in(0), in(1));
+    case CellKind::Or: return alg.lor(in(0), in(1));
+    case CellKind::IsoOr: return alg.lor(in(0), alg.lnot(in(1)));
     case CellKind::Xor:
     case CellKind::Add:
-    case CellKind::Sub: return s.lxor(in(0), in(1));
-    case CellKind::Nand: return s.land(in(0), in(1)) ^ 1;
-    case CellKind::Nor: return s.lor(in(0), in(1)) ^ 1;
+    case CellKind::Sub: return alg.lxor(in(0), in(1));
+    case CellKind::Nand: return alg.lnot(alg.land(in(0), in(1)));
+    case CellKind::Nor: return alg.lnot(alg.lor(in(0), in(1)));
     case CellKind::Xnor:
-    case CellKind::Eq: return s.lxor(in(0), in(1)) ^ 1;
-    case CellKind::Lt: return s.land(in(0) ^ 1, in(1));
-    case CellKind::Mux2: return s.mux(in(0), in(2), in(1));
-    default: return kNoLit;
+    case CellKind::Eq: return alg.lnot(alg.lxor(in(0), in(1)));
+    case CellKind::Lt: return alg.land(alg.lnot(in(0)), in(1));
+    case CellKind::Mux2: return alg.ite(in(0), in(2), in(1));
+    default: return std::nullopt;
   }
 }
 
@@ -164,7 +171,7 @@ class LazyBdd {
 
 /// Grounds the 1-bit nets of a word-level netlist, and expressions over
 /// their NetVarMap variables, to strash literals. A net whose driver has
-/// a cell_literal() and only 1-bit nets is expanded through it; every
+/// a cell_function() and only 1-bit nets is expanded through it; every
 /// other net is a leaf with its NetVarMap variable: primary inputs,
 /// register, latch and isolation-latch outputs, and nets of wide cells.
 /// Leaves are allocated depth-first from each queried root, last fanin

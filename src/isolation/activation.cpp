@@ -1,5 +1,8 @@
 #include "isolation/activation.hpp"
 
+#include <algorithm>
+
+#include "boolfn/strash.hpp"
 #include "netlist/traversal.hpp"
 #include "obs/trace.hpp"
 
@@ -24,59 +27,32 @@ bool is_comb_for_obs(CellKind kind) {
 ExprRef predict_next_value(const Netlist& nl, ExprPool& pool, NetVarMap& vars, NetId net) {
   OPISO_REQUIRE(nl.net(net).width == 1, "predict_next_value: only 1-bit control nets");
   const Cell& drv = nl.cell(nl.net(net).driver);
-  // Current-cycle value of a net: a Boolean variable, folded to a
-  // constant when the net is constant-driven.
-  auto cur = [&](NetId n) -> ExprRef {
-    const Cell& d = nl.cell(nl.net(n).driver);
-    if (d.kind == CellKind::Constant) return (d.param & 1) ? pool.const1() : pool.const0();
-    return pool.var(vars.var_of(nl, n));
-  };
-  auto recurse = [&](NetId n) { return predict_next_value(nl, pool, vars, n); };
-  switch (drv.kind) {
-    case CellKind::Constant:
-      return (drv.param & 1) ? pool.const1() : pool.const0();
-    case CellKind::Reg:
-      // Q(t+1) = EN(t) ? D(t) : Q(t); all three are current-cycle nets.
-      return pool.ite(cur(drv.ins[1]), cur(drv.ins[0]), cur(net));
-    case CellKind::Buf:
-      return recurse(drv.ins[0]);
-    case CellKind::Not: {
-      const ExprRef a = recurse(drv.ins[0]);
-      return a.valid() ? pool.lnot(a) : ExprRef::invalid();
-    }
-    case CellKind::And:
-    case CellKind::Or:
-    case CellKind::Xor:
-    case CellKind::Nand:
-    case CellKind::Nor:
-    case CellKind::Xnor: {
-      if (nl.net(drv.ins[0]).width != 1 || nl.net(drv.ins[1]).width != 1) {
-        return ExprRef::invalid();
-      }
-      const ExprRef a = recurse(drv.ins[0]);
-      const ExprRef b = recurse(drv.ins[1]);
-      if (!a.valid() || !b.valid()) return ExprRef::invalid();
-      switch (drv.kind) {
-        case CellKind::And: return pool.land(a, b);
-        case CellKind::Or: return pool.lor(a, b);
-        case CellKind::Xor: return pool.lor(pool.land(a, pool.lnot(b)), pool.land(pool.lnot(a), b));
-        case CellKind::Nand: return pool.lnot(pool.land(a, b));
-        case CellKind::Nor: return pool.lnot(pool.lor(a, b));
-        default: return pool.lnot(pool.lor(pool.land(a, pool.lnot(b)), pool.land(pool.lnot(a), b)));
-      }
-    }
-    case CellKind::Mux2: {
-      if (nl.cell(nl.net(net).driver).width != 1) return ExprRef::invalid();
-      const ExprRef s = recurse(drv.ins[0]);
-      const ExprRef a = recurse(drv.ins[1]);
-      const ExprRef b = recurse(drv.ins[2]);
-      if (!s.valid() || !a.valid() || !b.valid()) return ExprRef::invalid();
-      return pool.ite(s, b, a);
-    }
-    default:
-      // Primary inputs, latches, datapath cells: unpredictable.
-      return ExprRef::invalid();
+  if (drv.kind == CellKind::Reg) {
+    // Q(t+1) = EN(t) ? D(t) : Q(t); all three are current-cycle nets,
+    // each a Boolean variable or folded to its constant driver.
+    auto cur = [&](NetId n) -> ExprRef {
+      const Cell& d = nl.cell(nl.net(n).driver);
+      if (d.kind == CellKind::Constant) return (d.param & 1) ? pool.const1() : pool.const0();
+      return pool.var(vars.var_of(nl, n));
+    };
+    return pool.ite(cur(drv.ins[1]), cur(drv.ins[0]), cur(net));
   }
+  // A 1-bit cell with a Boolean function predicts through it (probed
+  // with constant fanins, which fold). Primary inputs, latches and
+  // datapath cells are unpredictable.
+  const bool narrow = std::all_of(drv.ins.begin(), drv.ins.end(),
+                                  [&](NetId in) { return nl.net(in).width == 1; });
+  if (!narrow || !cell_function(pool, drv.kind, drv.param, [&](int) { return pool.const0(); })) {
+    return ExprRef::invalid();
+  }
+  std::vector<ExprRef> ins;
+  ins.reserve(drv.ins.size());
+  for (NetId in : drv.ins) ins.push_back(predict_next_value(nl, pool, vars, in));
+  if (!std::all_of(ins.begin(), ins.end(), [](ExprRef e) { return e.valid(); })) {
+    return ExprRef::invalid();
+  }
+  return *cell_function(pool, drv.kind, drv.param,
+                        [&](int p) { return ins[static_cast<std::size_t>(p)]; });
 }
 
 ActivationAnalysis derive_activation(const Netlist& nl, ExprPool& pool, NetVarMap& vars,

@@ -67,8 +67,9 @@ struct ActivationOptions {
 
 /// Structurally predict the value a 1-bit net will carry in the *next*
 /// cycle as a function of current-cycle nets. Returns an invalid
-/// ExprRef when the value is unpredictable (depends on a primary input
-/// or latch through combinational logic).
+/// ExprRef when the value is unpredictable (depends on a primary input,
+/// a latch or a cell without a 1-bit cell_function() through
+/// combinational logic).
 [[nodiscard]] ExprRef predict_next_value(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
                                          NetId net);
 

@@ -163,11 +163,13 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
   if (opt.rewrite) {
     // Datapath rewriting runs first so isolation sees the cheaper
     // structure (and its fresh idle-prone operators). The rewrite
-    // inherits this run's cost weights and candidate width floor.
-    RewriteOptions ropt = opt.rewrite_options;
+    // inherits this run's cost weights, candidate width floor and BDD
+    // node budget.
+    RewriteOptions ropt;
     ropt.omega_p = opt.omega_p;
     ropt.omega_a = opt.omega_a;
     ropt.iso_min_width = opt.candidates.min_width;
+    ropt.bdd_node_budget = opt.bdd_node_budget;
     const RewriteResult rw = rewrite_datapath(nl, ropt);
     result.rewrite = rewrite_report_section(rw);
     if (rw.rewritten) nl = rw.netlist;

@@ -104,12 +104,12 @@ struct IsolationOptions {
 
   /// Run the equality-saturation datapath rewrite (opt/rewrite_rules
   /// .hpp) on the design before isolating. The rewrite shares this
-  /// run's ωp/ωa weights and candidate width floor; it degrades to the
+  /// run's ωp/ωa weights, candidate width floor and BDD node budget
+  /// (which then also bounds its equivalence proof); it degrades to the
   /// unchanged input on any budget exhaustion and gates every extracted
   /// netlist behind verify::equiv, so enabling it never changes
   /// behavior — only (possibly) the structure isolation then works on.
   bool rewrite = false;
-  RewriteOptions rewrite_options{};
 
   CandidateConfig candidates{};
   ActivationOptions activation{};  ///< e.g. register lookahead (Sec. 3)

@@ -20,6 +20,11 @@
 namespace opiso {
 namespace {
 
+constexpr unsigned kMaxIterations = 8;         ///< saturation rounds (iteration cap)
+constexpr std::uint64_t kProfileSeed = 0x5EED0001;  ///< profiling-sim stimulus seed
+constexpr std::uint64_t kProfileCycles = 256;  ///< measured profiling cycles
+constexpr std::uint64_t kProfileWarmup = 32;   ///< reset-transient flush
+
 /// Sequential/boundary cells whose outputs the rewriter treats as
 /// opaque leaves: the e-graph never looks through state.
 bool is_leaf_kind(CellKind kind) {
@@ -118,25 +123,9 @@ bool is_associative(CellKind k) {
   }
 }
 
-/// Operators muxes may be hoisted through. Add/Sub additionally need
-/// the no-differential-truncation width guards checked at the site.
-bool is_mux_hoistable(CellKind k) {
-  switch (k) {
-    case CellKind::Add:
-    case CellKind::Sub:
-    case CellKind::Mul:
-    case CellKind::And:
-    case CellKind::Or:
-    case CellKind::Xor:
-      return true;
-    default:
-      return false;
-  }
-}
-
 struct Saturator {
   EGraph& g;
-  const RewriteOptions& opt;
+  std::size_t max_nodes;
   std::map<std::string, std::uint64_t>& fired;
   std::uint64_t merges_done = 0;
 
@@ -185,7 +174,7 @@ struct Saturator {
     const std::uint64_t merges0 = merges_done;
     const std::size_t nodes0 = g.num_nodes();
     for (const Item& it : items) {
-      if (g.num_nodes() > opt.max_nodes) break;
+      if (g.num_nodes() > max_nodes) break;
       apply_rules(it.cls, it.node);
     }
     g.rebuild();
@@ -298,12 +287,10 @@ struct Saturator {
         }
         break;
       }
-      case CellKind::Mux2: {
+      case CellKind::Mux2:
         if (const auto sel = cv(0)) unite(cls, (*sel & 1) ? ch(2) : ch(1), "identity");
         if (ch(1) == ch(2)) unite(cls, ch(1), "identity");
-        mux_factor(cls, W, ch(0), ch(1), ch(2));
         break;
-      }
       case CellKind::IsoAnd:
         if (const auto as = cv(1)) {
           if ((*as & 1) == 1) unite(cls, ch(0), "identity");
@@ -320,64 +307,6 @@ struct Saturator {
         break;
     }
 
-    // -- mux distribution: K(mux(s,a,b), y) => mux(s, K(a,y), K(b,y)),
-    // both operand sides. The inverse (factoring) is matched on Mux2
-    // nodes above.
-    if (is_mux_hoistable(n.kind) && n.children.size() == 2) {
-      mux_distribute(cls, n.kind, W, ch(0), ch(1), /*mux_on_left=*/true);
-      mux_distribute(cls, n.kind, W, ch(1), ch(0), /*mux_on_left=*/false);
-    }
-  }
-
-  /// mux(s, K(a,c), K(b,c)) => K(mux(s,a,b), c) — hoist the shared
-  /// operator out of the mux legs (shared operand on either side).
-  /// For Add/Sub both legs must already be W wide, otherwise the
-  /// narrow leg's truncation has no counterpart after hoisting.
-  void mux_factor(EClassId cls, unsigned W, EClassId s, EClassId leg_a, EClassId leg_b) {
-    const std::vector<ENode> an = g.nodes(leg_a);
-    const std::vector<ENode> bn = g.nodes(leg_b);
-    for (const ENode& p : an) {
-      if (!is_mux_hoistable(p.kind)) continue;
-      for (const ENode& q : bn) {
-        if (q.kind != p.kind) continue;
-        if ((p.kind == CellKind::Add || p.kind == CellKind::Sub) &&
-            (g.width(leg_a) != W || g.width(leg_b) != W)) {
-          continue;
-        }
-        const EClassId pa = g.find(p.children[0]);
-        const EClassId pb = g.find(p.children[1]);
-        const EClassId qa = g.find(q.children[0]);
-        const EClassId qb = g.find(q.children[1]);
-        if (pb == qb && g.width(pa) == g.width(qa)) {
-          unite(cls, mk(p.kind, 0, {mk(CellKind::Mux2, 0, {s, pa, qa}), pb}), "mux-factor");
-        }
-        if (pa == qa && g.width(pb) == g.width(qb)) {
-          unite(cls, mk(p.kind, 0, {pa, mk(CellKind::Mux2, 0, {s, pb, qb})}), "mux-factor");
-        }
-      }
-    }
-  }
-
-  /// K(mux(s,a,b), y) => mux(s, K(a,y), K(b,y)) (and mirrored when the
-  /// mux is the right operand). For Add/Sub every leg must compute at
-  /// the full width W so no leg truncates where the original did not.
-  void mux_distribute(EClassId cls, CellKind k, unsigned W, EClassId mux_side, EClassId other,
-                      bool mux_on_left) {
-    const std::vector<ENode> muxes = g.nodes(mux_side);
-    for (const ENode& m : muxes) {
-      if (m.kind != CellKind::Mux2) continue;
-      const EClassId s = g.find(m.children[0]);
-      const EClassId a = g.find(m.children[1]);
-      const EClassId b = g.find(m.children[2]);
-      if (k == CellKind::Add || k == CellKind::Sub) {
-        const unsigned wo = g.width(other);
-        if (std::max(g.width(a), wo) != W || std::max(g.width(b), wo) != W) continue;
-      }
-      const EClassId la = mux_on_left ? mk(k, 0, {a, other}) : mk(k, 0, {other, a});
-      const EClassId lb = mux_on_left ? mk(k, 0, {b, other}) : mk(k, 0, {other, b});
-      if (g.width(la) != g.width(lb)) continue;
-      unite(cls, mk(CellKind::Mux2, 0, {s, la, lb}), "mux-distribute");
-    }
   }
 
   /// x * C => sum/difference of shifts of zero-extended x. Exact at any
@@ -439,15 +368,15 @@ struct Profile {
   double pr_idle = 0.0;  ///< width-weighted mean Pr(reg EN == 0)
 };
 
-Profile profile_activity(const Netlist& nl, const RewriteOptions& opt) {
+Profile profile_activity(const Netlist& nl) {
   OPISO_SPAN("opt.profile");
   Profile p;
   Simulator sim(nl);
-  UniformStimulus stim(opt.profile_seed);
-  sim.warmup(stim, opt.profile_warmup);
+  UniformStimulus stim(kProfileSeed);
+  sim.warmup(stim, kProfileWarmup);
   TapeSink tape;
   sim.set_frame_sink(&tape);
-  sim.run(stim, opt.profile_cycles);
+  sim.run(stim, kProfileCycles);
   sim.set_frame_sink(nullptr);
   p.frames = std::move(tape.frames);
   p.stats = sim.stats();
@@ -502,8 +431,7 @@ struct Extraction {
 /// serves), then pick the min-cost node per class by fixpoint. Both
 /// passes iterate classes in canonical-id order with strict-improvement
 /// updates, so results are bitwise deterministic.
-Extraction extract(const EGraph& g, const GraphBuild& b, const Profile& prof,
-                   const CostModel& cm) {
+Extraction extract(const EGraph& g, const Profile& prof, const CostModel& cm) {
   const std::size_t slots = [&] {
     std::size_t mx = 0;
     for (EClassId c : g.class_ids()) mx = std::max<std::size_t>(mx, c + 1);
@@ -596,7 +524,6 @@ Extraction extract(const EGraph& g, const GraphBuild& b, const Profile& prof,
       }
     }
   }
-  (void)b;
   return ex;
 }
 
@@ -736,14 +663,14 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     // 1. Profile the input netlist (always the scalar engine with a
     //    fixed seed: the report section must be bitwise identical no
     //    matter which engine/thread count the surrounding flow uses).
-    const Profile prof = profile_activity(nl, opt);
+    const Profile prof = profile_activity(nl);
 
     // 2. Saturate.
     GraphBuild b = build_egraph(nl);
     {
       OPISO_SPAN("opt.saturate");
-      Saturator sat{b.g, opt, res.rules_fired};
-      for (unsigned it = 0; it < opt.max_iterations; ++it) {
+      Saturator sat{b.g, opt.max_nodes, res.rules_fired};
+      for (unsigned it = 0; it < kMaxIterations; ++it) {
         if (b.g.num_nodes() > opt.max_nodes) break;
         ++res.iterations;
         if (!sat.round()) {
@@ -775,7 +702,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     const double a0 = cm.area.total_area_um2(nl);
     cm.a0 = a0 > 0.0 ? a0 : 1.0;
     res.pr_idle = prof.pr_idle;
-    const Extraction ex = extract(b.g, b, prof, cm);
+    const Extraction ex = extract(b.g, prof, cm);
 
     // Cost of the input netlist under the identical model (same class
     // toggle rates), so the comparison is apples-to-apples.
@@ -804,18 +731,16 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
       obs::metrics().counter("rewrite.no_improvement").add(1);
       return res;
     }
-    if (opt.verify) {
-      BddBudget budget;
-      budget.max_nodes = opt.bdd_node_budget;
-      const EquivResult eq = check_isolation_equivalence(nl, rewritten, budget);
-      res.verify_obligations = eq.obligations_checked;
-      if (!eq.equivalent) {
-        res.fallback_reason = "verify::equiv rejected the extraction: " + eq.reason;
-        obs::metrics().counter("rewrite.verify_rejections").add(1);
-        return res;
-      }
-      res.verified = true;
+    BddBudget budget;
+    budget.max_nodes = opt.bdd_node_budget;
+    const EquivResult eq = check_isolation_equivalence(nl, rewritten, budget);
+    res.verify_obligations = eq.obligations_checked;
+    if (!eq.equivalent) {
+      res.fallback_reason = "verify::equiv rejected the extraction: " + eq.reason;
+      obs::metrics().counter("rewrite.verify_rejections").add(1);
+      return res;
     }
+    res.verified = true;
     res.cells_after = rewritten.num_cells();
     res.netlist = std::move(rewritten);
     res.rewritten = true;
@@ -823,7 +748,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
 
     // 5. Honest power delta: re-profile the rewritten netlist with the
     //    same stimulus and report the macro-model estimate.
-    const Profile after = profile_activity(res.netlist, opt);
+    const Profile after = profile_activity(res.netlist);
     res.est_power_after_mw = estimator.estimate(res.netlist, after.stats).total_mw;
   } catch (const ResourceError& e) {
     res.netlist = nl;

@@ -38,16 +38,11 @@
 namespace opiso {
 
 struct RewriteOptions {
-  unsigned max_iterations = 8;       ///< saturation rounds (iteration cap)
   std::size_t max_nodes = 20000;     ///< e-node cap; exceeded => input unchanged
-  std::uint64_t profile_seed = 0x5EED0001;  ///< profiling-sim stimulus seed
-  std::uint64_t profile_cycles = 256;       ///< measured profiling cycles
-  std::uint64_t profile_warmup = 32;        ///< reset-transient flush
   double omega_p = 1.0;              ///< paper's ωp (power weight)
   double omega_a = 0.2;              ///< paper's ωa (area weight)
   unsigned iso_min_width = 2;        ///< isolatable-arith width floor (CandidateConfig)
   std::size_t bdd_node_budget = 1u << 20;  ///< verify::equiv BDD budget (0 = unlimited)
-  bool verify = true;                ///< gate extraction behind verify::equiv
 };
 
 struct RewriteResult {
@@ -76,7 +71,7 @@ struct RewriteResult {
 
 /// Rewrite `nl` under `opt`. Never throws for resource reasons and never
 /// returns an unverified netlist: every non-identity result passed
-/// verify::equiv (unless opt.verify is disabled, for tests). The input
+/// verify::equiv. The input
 /// must validate; latch-bearing designs fall back immediately (the
 /// exact equivalence proof needs latch-free designs).
 [[nodiscard]] RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -185,17 +186,18 @@ std::vector<Lit> Engine::sweep(const GateLevelResult& g, const char* side, Stras
       // An isolation latch bit outside every cut: free, per design.
       f = s.var(std::string(side) + "@" + name);
     } else {
-      f = cell_literal(s, c.kind, c.param, [&](int p) {
+      const std::optional<Lit> g = cell_function(s, c.kind, c.param, [&](int p) {
         return lit[c.ins[static_cast<std::size_t>(p)].value()];
       });
-      if (f == kNoLit) {
+      if (!g) {
         throw NetlistError("equiv: unexpected cell kind '" + std::string(cell_kind_name(c.kind)) +
                            "' in lowered netlist");
       }
+      f = *g;
     }
     if (auto it = overrides.find(c.out.value()); it != overrides.end()) {
       const Override& o = it->second;
-      f = o.as.valid() ? s.mux(lit[o.as.value()], o.v, o.w) : o.v;
+      f = o.as.valid() ? s.ite(lit[o.as.value()], o.v, o.w) : o.v;
     }
     lit[c.out.value()] = f;
   }

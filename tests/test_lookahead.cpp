@@ -79,6 +79,31 @@ TEST(Lookahead, PredictsThroughControlLogic) {
   EXPECT_TRUE(m.equal(m.from_expr(pool, p), m.from_expr(pool, expect)));
 }
 
+TEST(Lookahead, PredictsOneBitComparators) {
+  // A register enabled by a 1-bit Eq of two registered nets: the enable
+  // predicts through Eq's Boolean function, en(t+1) = !(d0(t) ^ d1(t)).
+  Netlist nl;
+  const NetId d0 = nl.add_input("d0", 1);
+  const NetId d1 = nl.add_input("d1", 1);
+  const NetId x = nl.add_input("x", 4);
+  const NetId one = nl.add_const("one", 1, 1);
+  const NetId q0 = nl.add_reg("q0", d0, one);
+  const NetId q1 = nl.add_reg("q1", d1, one);
+  const NetId en = nl.add_binop(CellKind::Eq, "en", q0, q1);
+  const NetId r = nl.add_reg("r", x, en);
+  nl.add_output("o", r);
+  nl.validate();
+
+  ExprPool pool;
+  NetVarMap vars;
+  const ExprRef p = predict_next_value(nl, pool, vars, en);
+  ASSERT_TRUE(p.valid());
+  const ExprRef v0 = pool.var(vars.var_of(nl, d0));
+  const ExprRef v1 = pool.var(vars.var_of(nl, d1));
+  BddManager m;
+  EXPECT_TRUE(m.equal(m.from_expr(pool, p), m.from_expr(pool, pool.lnot(pool.lxor(v0, v1)))));
+}
+
 TEST(Lookahead, DerivesNonTrivialActivationWhereCutIsBlind) {
   Netlist nl = make_lookahead_design(6);
   const CellId adder = nl.net(nl.find_net("sum")).driver;

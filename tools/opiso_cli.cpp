@@ -96,7 +96,9 @@ using namespace opiso;
       "      --report               print the per-iteration candidate log\n"
       "      --bdd-budget N         BDD node budget for activation-function\n"
       "                             simplification; over-budget functions keep\n"
-      "                             their structural form (0 = unlimited)\n"
+      "                             their structural form (0 = unlimited);\n"
+      "                             with --rewrite it also bounds the rewrite's\n"
+      "                             equivalence proof\n"
       "      --no-incremental       re-simulate every iteration in full instead\n"
       "                             of replaying the dirty cone of the committed\n"
       "                             banks (results are bit-identical either way;\n"
